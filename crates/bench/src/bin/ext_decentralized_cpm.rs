@@ -15,7 +15,7 @@
 //! QoS-classed tenants scheduled onto the CPM corners with admission
 //! control and SLO accounting — via the
 //! `snacknoc_service::decentralized_cpm` preset (see the `snack-service`
-//! binary and DESIGN.md §15).
+//! binary and DESIGN.md §13).
 
 use snacknoc_bench::experiments::{arg_f64, arg_u64};
 use snacknoc_bench::table::print_table;

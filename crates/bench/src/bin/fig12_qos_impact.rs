@@ -14,7 +14,7 @@
 //! Priority arbitration is also exercised as a live *service policy* —
 //! kernels served to QoS-classed tenants concurrently with the CMP
 //! application — via the `snacknoc_service::fig12_qos` preset (see the
-//! `snack-service` binary and DESIGN.md §15).
+//! `snack-service` binary and DESIGN.md §13).
 
 use snacknoc_bench::experiments::{arg_f64, arg_u64};
 use snacknoc_bench::table::print_table;

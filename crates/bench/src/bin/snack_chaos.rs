@@ -2,10 +2,10 @@
 //!
 //! Throws seeded randomized fault schedules (permanent RCU/link/CPM
 //! deaths mixed with transient drop/corrupt windows) at every kernel,
-//! runs each cell in **all five stepping modes**, and asserts the
+//! runs each cell in **both stepping modes**, and asserts the
 //! robustness invariants on every run: termination with a typed verdict,
 //! bit-exact outputs on completion, transient-loss recovery, consistent
-//! degradation reports, and five-mode bit-identity. Prints the per-cell
+//! degradation reports, and dense/event bit-identity. Prints the per-cell
 //! table and writes `BENCH_chaos.json` (override with `--json <path>`);
 //! the simulation output is bit-identical for any `--threads` value.
 //!
@@ -24,6 +24,7 @@
 
 use snacknoc_bench::args::CliArgs;
 use snacknoc_bench::chaos::{run_chaos, ChaosSpec};
+use snacknoc_noc::Stepping;
 use snacknoc_workloads::kernels::Kernel;
 
 const USAGE: &str = "usage: snack-chaos [--kernels all|sgemm,spmv,...] [--size N]
@@ -73,8 +74,9 @@ fn main() {
     };
 
     println!(
-        "chaos grid: {} cells x 5 stepping modes on {} thread(s){}",
+        "chaos grid: {} cells x {} stepping modes on {} thread(s){}",
         spec.cells.len(),
+        Stepping::ALL.len(),
         spec.threads,
         if smoke { " [smoke]" } else { "" },
     );

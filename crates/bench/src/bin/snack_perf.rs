@@ -3,18 +3,17 @@
 //! Times `Network::step` at idle / low / saturation injection, a
 //! think-heavy closed-loop platform scenario, and full
 //! `Platform::run_kernel` for three compiler kernels, each under the
-//! dense reference loop, the activity-driven scheduler (default) and the
-//! event-driven time-wheel, and writes `BENCH_perf.json`
-//! (`snacknoc-perf-v2`) — the perf trajectory's committed baseline. The
-//! dense numbers in the same file *are* the baseline future PRs compare
-//! against.
+//! dense reference loop and event-driven stepping (the default), and
+//! writes `BENCH_perf.json` (`snacknoc-perf-v3`) — the perf trajectory's
+//! committed baseline. The dense numbers in the same file *are* the
+//! baseline future PRs compare against.
 //!
 //! ```text
 //! snack-perf [--samples N] [--kernel-size N] [--seed N] [--json PATH] [--smoke]
 //! ```
 //!
 //! Wall-clock numbers are machine-dependent; the `stats_identical`
-//! fields assert that all stepping modes produced byte-identical
+//! fields assert that both stepping modes produced byte-identical
 //! simulation statistics, and the binary exits non-zero if any scenario
 //! diverged. `--smoke` shrinks the grid to a CI-sized run (used by
 //! `scripts/verify.sh`) — it checks bit-identity and the JSON schema,
@@ -24,8 +23,7 @@
 
 use snacknoc_bench::args::CliArgs;
 use snacknoc_bench::perf::{
-    default_shard_scenarios, default_step_scenarios, host_threads, smoke_shard_scenarios,
-    smoke_step_scenarios, time_closed_loop, time_kernel, time_shard_scenario,
+    default_step_scenarios, host_threads, smoke_step_scenarios, time_closed_loop, time_kernel,
     time_step_scenario, PerfReport,
 };
 use snacknoc_workloads::kernels::Kernel;
@@ -42,7 +40,6 @@ fn main() {
     let kernel_size = args.u64_or("kernel-size", if smoke { 10 } else { 24 }) as usize;
 
     let scenarios = if smoke { smoke_step_scenarios() } else { default_step_scenarios() };
-    let shard_scenarios = if smoke { smoke_shard_scenarios() } else { default_shard_scenarios() };
     let kernels = if smoke {
         vec![Kernel::Mac]
     } else {
@@ -50,46 +47,33 @@ fn main() {
     };
 
     println!(
-        "perf: {} step + {} shard scenario(s) + {} kernel(s), {samples} sample(s) per mode{} \
+        "perf: {} step scenario(s) + {} kernel(s), {samples} sample(s) per mode{} \
          (host threads: {})",
         scenarios.len(),
-        shard_scenarios.len(),
         kernels.len(),
         if smoke { " [smoke]" } else { "" },
         host_threads(),
     );
     let mut step: Vec<_> = scenarios.iter().map(|s| time_step_scenario(s, samples)).collect();
     step.push(time_closed_loop(if smoke { 20_000 } else { 200_000 }, samples));
-    let shard: Vec<_> =
-        shard_scenarios.iter().flat_map(|s| time_shard_scenario(s, samples)).collect();
     let kernel_results =
         kernels.iter().map(|&k| time_kernel(k, kernel_size, seed, samples)).collect();
-    let report = PerfReport { step, shard, kernels: kernel_results };
+    let report = PerfReport { step, kernels: kernel_results };
     report.print_tables();
 
     let file = std::fs::File::create(&json_path).expect("create JSON report");
     report.write_json(std::io::BufWriter::new(file)).expect("write JSON report");
     println!("json: {json_path}");
 
-    if let Some(speedup) = report.idle_speedup() {
-        println!("idle-speedup: {speedup:.2}x (active-set over dense baseline)");
-    }
     if let Some(speedup) = report.idle_event_speedup() {
         println!("idle-event-speedup: {speedup:.2}x (event-driven over dense baseline)");
     }
-    if let Some((name, workers, speedup)) = report.best_shard_speedup() {
-        println!(
-            "shard-speedup: {speedup:.2}x ({name} at {workers} worker(s) over serial active, \
-             {} host thread(s))",
-            host_threads(),
-        );
-    }
     if !report.all_identical() {
         eprintln!(
-            "error: a stepping mode disagreed with the dense oracle on \
+            "error: event stepping disagreed with the dense oracle on \
              simulation statistics (or a kernel failed verification)"
         );
         std::process::exit(1);
     }
-    println!("stats-identical: yes (all scenarios, all modes)");
+    println!("stats-identical: yes (all scenarios, both modes)");
 }

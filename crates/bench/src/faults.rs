@@ -18,7 +18,7 @@ use crate::sweep::parallel_map;
 use crate::table::print_table;
 use snacknoc_compiler::{build, MapperConfig};
 use snacknoc_core::{PlatformError, RecoveryConfig, SnackPlatform};
-use snacknoc_noc::{FaultPlan, NocConfig, NocPreset};
+use snacknoc_noc::{FaultPlan, LatencyHistogram, NocConfig, NocPreset};
 use snacknoc_workloads::kernels::Kernel;
 use std::fmt;
 use std::io::{self, Write};
@@ -200,12 +200,14 @@ pub fn run_fault_cell(cell: &FaultCell, recovery: RecoveryConfig) -> FaultCellRe
         retries: rec.retries,
         watchdog_fires: rec.watchdog_fires,
         corrupt_detected: rec.corrupt_detected,
-        recovery_p50: if rec.recovery_latency.samples() > 0 {
-            rec.recovery_latency.percentile(0.5)
-        } else {
-            0
-        },
+        recovery_p50: recovery_p50(&rec.recovery_latency),
     }
+}
+
+/// Median recovery latency in cycles (0 when nothing was recovered).
+/// [`LatencyHistogram::percentile`] takes a percent, not a fraction.
+fn recovery_p50(latency: &LatencyHistogram) -> u64 {
+    latency.percentile(50.0)
 }
 
 /// The outcome of [`run_fault_sweep`], in cell-index order.
@@ -333,6 +335,17 @@ mod tests {
             ],
             &[1],
         )
+    }
+
+    #[test]
+    fn recovery_p50_is_the_median() {
+        let mut h = LatencyHistogram::new();
+        assert_eq!(recovery_p50(&h), 0, "no recoveries, no latency");
+        for lat in 1..=100 {
+            h.record(lat);
+        }
+        assert_eq!(recovery_p50(&h), h.percentile(50.0));
+        assert!(recovery_p50(&h) > h.percentile(0.5), "a median, not the 0.5th percentile");
     }
 
     #[test]

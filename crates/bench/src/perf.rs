@@ -1,22 +1,20 @@
-//! Hot-loop performance measurements: dense vs activity-driven vs
+//! Hot-loop performance measurements: the dense reference loop vs
 //! event-driven stepping (`BENCH_perf.json`, the repo's perf trajectory).
 //!
-//! Three families of measurements:
+//! Two families of measurements:
 //!
 //! * **`Network::step` scenarios** — a bare network driven by a
 //!   pre-generated uniform-random injection schedule at idle / low /
-//!   saturation rates, timed under the dense reference loop
-//!   ([`Network::set_dense_stepping`]), the activity-driven scheduler
-//!   (the default) and the event-driven time-wheel
-//!   ([`Network::set_event_stepping`], DESIGN.md §12). The schedule is
-//!   generated once per scenario, so all modes replay byte-identical
+//!   saturation rates, timed under [`Stepping::Dense`] and
+//!   [`Stepping::Event`] (the default, DESIGN.md §11). The schedule is
+//!   generated once per scenario, so both modes replay byte-identical
 //!   injections and must report byte-identical simulation statistics
-//!   ([`StepTiming::stats_identical`]).
-//! * **Closed-loop platform scenario** — a think-heavy closed-loop CMP
-//!   workload on the full `SnackPlatform` run loop, the regime where
-//!   event-driven jumps compress real dead time between request bursts.
+//!   ([`StepTiming::stats_identical`]). A think-heavy closed-loop CMP
+//!   workload on the full `SnackPlatform` run loop joins them as one more
+//!   row: the regime where event-driven jumps compress real dead time
+//!   between request bursts.
 //! * **`Platform::run_kernel` timings** — full compiler kernels run to
-//!   completion under every mode, with outputs and statistics compared.
+//!   completion under both modes, with outputs and statistics compared.
 //!
 //! Wall-clock numbers (median/p90 ns) are machine-dependent and are *not*
 //! covered by any determinism guarantee; the simulation fingerprints are.
@@ -27,7 +25,7 @@ use crate::harness::{summarize, BenchStats};
 use crate::table::print_table;
 use snacknoc_compiler::{build, MapperConfig};
 use snacknoc_core::SnackPlatform;
-use snacknoc_noc::{Network, NetStats, NocConfig, NodeId, PacketSpec, TrafficClass};
+use snacknoc_noc::{Network, NetStats, NocConfig, NodeId, PacketSpec, Stepping, TrafficClass};
 use snacknoc_prng::Rng;
 use std::io::{self, Write};
 use std::time::Instant;
@@ -110,7 +108,7 @@ pub fn smoke_step_scenarios() -> Vec<StepScenario> {
 type Injection = (u64, usize, usize, u8);
 
 /// Pre-generates the uniform-random injection schedule for `s`, sorted by
-/// cycle. Generated once per scenario so the active and dense runs replay
+/// cycle. Generated once per scenario so the dense and event runs replay
 /// identical traffic.
 #[must_use]
 pub fn build_schedule(s: &StepScenario, cfg: &NocConfig) -> Vec<Injection> {
@@ -175,94 +173,86 @@ pub fn stats_fingerprint(injected: u64, delivered: u64, pending: u64, stats: &Ne
             c.flits,
             c.latency_sum,
             c.latency_max,
-            c.latency_hist.percentile(0.5),
-            c.latency_hist.percentile(0.99),
+            c.latency_hist.percentile(50.0),
+            c.latency_hist.percentile(99.0),
         ));
     }
     out
 }
 
-/// Stepping mode selector: `0` = dense reference loop, `1` = activity-
-/// driven (the default), `2` = event-driven time-wheel.
-fn apply_net_mode(net: &mut Network<u64>, mode: u8) {
-    match mode {
-        0 => net.set_dense_stepping(true),
-        1 => {}
-        2 => net.set_event_stepping(true),
-        _ => unreachable!("modes are 0..=2"),
-    }
-}
-
 /// Runs `s` once in the given mode, replaying `schedule`. Returns the
-/// wall time of the stepping loop (ns), the injected flit count, and the
-/// simulation fingerprint.
+/// wall time of the stepping loop (ns), the simulation fingerprint, and
+/// the injected flit count.
 ///
-/// Dense and active modes drive the canonical per-cycle loop (inject,
-/// step, drain — the PR-5 baseline driver). Event mode drives the same
-/// schedule through [`Network::step_until`] segments between injection
-/// cycles, which is where the time-wheel earns its jumps; the drain
-/// cadence differs but draining is stats-neutral, so the fingerprints
-/// must still match byte-for-byte.
+/// Dense mode drives the canonical per-cycle loop (inject, step, drain —
+/// the original baseline driver). Event mode drives the same schedule
+/// through [`Network::step_until`] segments between injection cycles,
+/// which is where the time-wheel earns its jumps; the drain cadence
+/// differs but draining is stats-neutral, so the fingerprints must still
+/// match byte-for-byte.
 fn run_step_once(
     s: &StepScenario,
     cfg: &NocConfig,
     schedule: &[Injection],
-    mode: u8,
-) -> (u64, u64, String) {
+    mode: Stepping,
+) -> (u64, String, u64) {
     let mut net: Network<u64> = Network::new(cfg.clone()).expect("valid perf config");
-    apply_net_mode(&mut net, mode);
+    net.set_stepping(mode);
     let mut cursor = 0usize;
     let mut drained: Vec<_> = Vec::new();
     let nodes: Vec<NodeId> = net.mesh().nodes().collect();
     let t0 = Instant::now();
-    if mode == 2 {
-        while cursor < schedule.len() {
-            let at = schedule[cursor].0;
-            net.step_until(at);
+    match mode {
+        Stepping::Event => {
+            while cursor < schedule.len() {
+                let at = schedule[cursor].0;
+                net.step_until(at);
+                for &node in &nodes {
+                    net.drain_ejected_into(node, &mut drained);
+                }
+                drained.clear();
+                while cursor < schedule.len() && schedule[cursor].0 == at {
+                    let (_, src, dst, vnet) = schedule[cursor];
+                    let spec = PacketSpec::new(
+                        NodeId::new(src),
+                        NodeId::new(dst),
+                        vnet,
+                        TrafficClass::Communication,
+                        16,
+                        at,
+                    );
+                    net.inject(spec).expect("schedule produces valid packets");
+                    cursor += 1;
+                }
+            }
+            net.step_until(s.cycles);
             for &node in &nodes {
                 net.drain_ejected_into(node, &mut drained);
             }
             drained.clear();
-            while cursor < schedule.len() && schedule[cursor].0 == at {
-                let (_, src, dst, vnet) = schedule[cursor];
-                let spec = PacketSpec::new(
-                    NodeId::new(src),
-                    NodeId::new(dst),
-                    vnet,
-                    TrafficClass::Communication,
-                    16,
-                    at,
-                );
-                net.inject(spec).expect("schedule produces valid packets");
-                cursor += 1;
-            }
         }
-        net.step_until(s.cycles);
-        for &node in &nodes {
-            net.drain_ejected_into(node, &mut drained);
-        }
-        drained.clear();
-    } else {
-        for cycle in 0..s.cycles {
-            while cursor < schedule.len() && schedule[cursor].0 == cycle {
-                let (_, src, dst, vnet) = schedule[cursor];
-                let spec = PacketSpec::new(
-                    NodeId::new(src),
-                    NodeId::new(dst),
-                    vnet,
-                    TrafficClass::Communication,
-                    16,
-                    cycle,
-                );
-                net.inject(spec).expect("schedule produces valid packets");
-                cursor += 1;
+        Stepping::Dense => {
+            for cycle in 0..s.cycles {
+                while cursor < schedule.len() && schedule[cursor].0 == cycle {
+                    let (_, src, dst, vnet) = schedule[cursor];
+                    let spec = PacketSpec::new(
+                        NodeId::new(src),
+                        NodeId::new(dst),
+                        vnet,
+                        TrafficClass::Communication,
+                        16,
+                        cycle,
+                    );
+                    net.inject(spec).expect("schedule produces valid packets");
+                    cursor += 1;
+                }
+                net.step();
+                // Closed-loop delivery drain, as a platform would do.
+                for &node in &nodes {
+                    net.drain_ejected_into(node, &mut drained);
+                }
+                drained.clear();
             }
-            net.step();
-            // Closed-loop delivery drain, as a platform would do.
-            for &node in &nodes {
-                net.drain_ejected_into(node, &mut drained);
-            }
-            drained.clear();
         }
     }
     let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -272,7 +262,46 @@ fn run_step_once(
     let stats = net.finalize_stats();
     let flits = stats.injected_flits;
     let fp = stats_fingerprint(injected, delivered, pending, stats);
-    (ns, flits, fp)
+    (ns, fp, flits)
+}
+
+/// Wall times of one scenario in both stepping modes, and whether every
+/// run reproduced the dense oracle's fingerprint.
+struct ModeTimes<T> {
+    dense: BenchStats,
+    event: BenchStats,
+    identical: bool,
+    /// Extra output of the untimed dense reference run.
+    reference: T,
+}
+
+/// Times `run` in both modes: one untimed warmup per mode (dense is the
+/// reference fingerprint), then `samples` rounds with interleaved mode
+/// order to decorrelate from machine noise. `run` returns the wall time
+/// (ns), the simulation fingerprint and an extra value kept from the
+/// reference run.
+fn time_modes<T>(
+    label: &str,
+    samples: u32,
+    mut run: impl FnMut(Stepping) -> (u64, String, T),
+) -> ModeTimes<T> {
+    let (_, fp_dense, reference) = run(Stepping::Dense);
+    let mut identical = run(Stepping::Event).1 == fp_dense;
+    let mut ns = [Vec::with_capacity(samples as usize), Vec::with_capacity(samples as usize)];
+    for _ in 0..samples {
+        for (times, mode) in ns.iter_mut().zip(Stepping::ALL) {
+            let (t, fp, _) = run(mode);
+            identical &= fp == fp_dense;
+            times.push(t);
+        }
+    }
+    let [dense_ns, event_ns] = ns;
+    ModeTimes {
+        dense: summarize(&format!("{label}/dense"), &dense_ns),
+        event: summarize(&format!("{label}/event"), &event_ns),
+        identical,
+        reference,
+    }
 }
 
 /// Timing + bit-identity result for one `Network::step` scenario.
@@ -286,23 +315,15 @@ pub struct StepTiming {
     pub injected_packets: u64,
     /// Flits injected per iteration (same for both modes).
     pub injected_flits: u64,
-    /// Activity-driven timings.
-    pub active: BenchStats,
     /// Dense reference-loop timings (the baseline).
     pub dense: BenchStats,
-    /// Event-driven time-wheel timings.
+    /// Event-driven timings (the default mode).
     pub event: BenchStats,
-    /// Whether all modes reported byte-identical simulation statistics.
+    /// Whether both modes reported byte-identical simulation statistics.
     pub stats_identical: bool,
 }
 
 impl StepTiming {
-    /// Simulated cycles per wall-clock second, activity-driven.
-    #[must_use]
-    pub fn active_cycles_per_sec(&self) -> f64 {
-        self.sim_cycles as f64 * 1e9 / self.active.median_ns.max(1) as f64
-    }
-
     /// Simulated cycles per wall-clock second, dense baseline.
     #[must_use]
     pub fn dense_cycles_per_sec(&self) -> f64 {
@@ -316,17 +337,11 @@ impl StepTiming {
     }
 
     /// Injected flits simulated per wall-clock second under the default
-    /// (activity-driven) stepper — the loaded-path throughput figure the
-    /// PR-10 data-layout work targets. Zero on idle scenarios.
+    /// (event-driven) stepper — the loaded-path throughput figure. Zero
+    /// on idle scenarios.
     #[must_use]
     pub fn flits_per_sec(&self) -> f64 {
-        self.injected_flits as f64 * 1e9 / self.active.median_ns.max(1) as f64
-    }
-
-    /// Active-set speedup over the dense baseline (median-based).
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.dense.median_ns as f64 / self.active.median_ns.max(1) as f64
+        self.injected_flits as f64 * 1e9 / self.event.median_ns.max(1) as f64
     }
 
     /// Event-driven speedup over the dense baseline (median-based).
@@ -336,9 +351,9 @@ impl StepTiming {
     }
 }
 
-/// Times `s` under both modes (`samples` iterations each, interleaved
-/// mode order to decorrelate from machine noise) and checks that every
-/// iteration of either mode produced the same simulation fingerprint.
+/// Times `s` under both modes (`samples` iterations each) and checks that
+/// every iteration of either mode produced the same simulation
+/// fingerprint.
 ///
 /// # Panics
 ///
@@ -347,250 +362,19 @@ impl StepTiming {
 pub fn time_step_scenario(s: &StepScenario, samples: u32) -> StepTiming {
     let cfg = NocConfig::default().with_mesh(s.cols as u16, s.rows as u16);
     let schedule = build_schedule(s, &cfg);
-    // One untimed warmup per mode; dense is the reference fingerprint.
-    let (_, flits, fp_dense) = run_step_once(s, &cfg, &schedule, 0);
-    let (_, _, fp_active) = run_step_once(s, &cfg, &schedule, 1);
-    let (_, _, fp_event) = run_step_once(s, &cfg, &schedule, 2);
-    let mut identical = fp_active == fp_dense && fp_event == fp_dense;
-    let mut dense_ns = Vec::with_capacity(samples as usize);
-    let mut active_ns = Vec::with_capacity(samples as usize);
-    let mut event_ns = Vec::with_capacity(samples as usize);
-    for _ in 0..samples {
-        let (d, _, fd) = run_step_once(s, &cfg, &schedule, 0);
-        let (a, _, fa) = run_step_once(s, &cfg, &schedule, 1);
-        let (e, _, fe) = run_step_once(s, &cfg, &schedule, 2);
-        identical &= fd == fp_dense && fa == fp_dense && fe == fp_dense;
-        dense_ns.push(d);
-        active_ns.push(a);
-        event_ns.push(e);
-    }
     let label = s.label();
+    let t = time_modes(&format!("step/{label}"), samples, |mode| {
+        run_step_once(s, &cfg, &schedule, mode)
+    });
     StepTiming {
         sim_cycles: s.cycles,
         injected_packets: schedule.len() as u64,
-        injected_flits: flits,
-        active: summarize(&format!("step/{label}/active"), &active_ns),
-        dense: summarize(&format!("step/{label}/dense"), &dense_ns),
-        event: summarize(&format!("step/{label}/event"), &event_ns),
-        stats_identical: identical,
+        injected_flits: t.reference,
+        dense: t.dense,
+        event: t.event,
+        stats_identical: t.identical,
         name: label,
     }
-}
-
-/// One shard-scaling scenario: a mesh pre-loaded with a saturated burst
-/// of NI backlog, then drained in a single batched
-/// [`Network::step_until`] call — the regime the sharded stepper
-/// (DESIGN.md §13) is built for, where per-cycle router work dominates
-/// and boundary traffic is a surface term.
-#[derive(Clone, Debug)]
-pub struct ShardScenario {
-    /// Mesh columns.
-    pub cols: usize,
-    /// Mesh rows.
-    pub rows: usize,
-    /// Packets pre-loaded into the NI backlogs before timing starts.
-    pub packets: usize,
-    /// Cycles stepped in one batch.
-    pub cycles: u64,
-    /// Burst seed.
-    pub seed: u64,
-    /// Worker counts to scale across (each becomes one report row).
-    pub workers: Vec<usize>,
-}
-
-impl ShardScenario {
-    /// `shard/COLSxROWS` display label.
-    #[must_use]
-    pub fn label(&self) -> String {
-        format!("shard/{}x{}", self.cols, self.rows)
-    }
-}
-
-/// The canonical shard-scaling grid behind `BENCH_perf.json`: saturated
-/// 32×32 and 64×64 meshes at 1/2/4/8 workers.
-#[must_use]
-pub fn default_shard_scenarios() -> Vec<ShardScenario> {
-    vec![
-        ShardScenario {
-            cols: 32,
-            rows: 32,
-            packets: 8_000,
-            cycles: 1_000,
-            seed: 21,
-            workers: vec![1, 2, 4, 8],
-        },
-        ShardScenario {
-            cols: 64,
-            rows: 64,
-            packets: 24_000,
-            cycles: 1_000,
-            seed: 22,
-            workers: vec![1, 2, 4, 8],
-        },
-    ]
-}
-
-/// CI-sized shard grid: one small saturated mesh at 1/2/4 workers,
-/// enough to gate bit-identity and the JSON schema without meaningful
-/// wall-clock cost.
-#[must_use]
-pub fn smoke_shard_scenarios() -> Vec<ShardScenario> {
-    vec![ShardScenario {
-        cols: 8,
-        rows: 8,
-        packets: 400,
-        cycles: 400,
-        seed: 21,
-        workers: vec![1, 2, 4],
-    }]
-}
-
-/// The host's hardware thread count, as recorded into `BENCH_perf.json`
-/// so a committed capture carries the context its shard speedups were
-/// measured under (a single-core CI box cannot show parallel speedup;
-/// the bit-identity columns are machine-independent, the wall-clock
-/// columns are not).
-#[must_use]
-pub fn host_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Pre-generates the uniform-random saturation burst for `s`.
-#[must_use]
-pub fn build_burst(s: &ShardScenario, cfg: &NocConfig) -> Vec<(usize, usize, u8)> {
-    let n = s.cols * s.rows;
-    let mut rng = Rng::new(s.seed ^ 0x5AAD_9E37_79B9_7F4A);
-    (0..s.packets)
-        .map(|_| {
-            let src = rng.range_usize(0..n);
-            let dst = {
-                let d = rng.range_usize(0..n - 1);
-                if d >= src {
-                    d + 1
-                } else {
-                    d
-                }
-            };
-            (src, dst, rng.range(0..u64::from(cfg.vnets)) as u8)
-        })
-        .collect()
-}
-
-/// Runs `s` once with `shards` worker shards (`0` = the serial
-/// activity-driven baseline), returning the wall time of the batched
-/// stepping call (ns) and the simulation fingerprint.
-fn run_shard_once(
-    s: &ShardScenario,
-    cfg: &NocConfig,
-    burst: &[(usize, usize, u8)],
-    shards: usize,
-) -> (u64, String) {
-    let mut net: Network<u64> = Network::new(cfg.clone()).expect("valid shard config");
-    if shards > 0 {
-        net.set_sharding(shards).expect("worker count fits the mesh rows");
-    }
-    for (i, &(src, dst, vnet)) in burst.iter().enumerate() {
-        let spec = PacketSpec::new(
-            NodeId::new(src),
-            NodeId::new(dst),
-            vnet,
-            TrafficClass::Communication,
-            16,
-            i as u64,
-        );
-        net.inject(spec).expect("burst produces valid packets");
-    }
-    let t0 = Instant::now();
-    net.step_until(s.cycles);
-    let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let injected = net.injected_packets();
-    let delivered = net.delivered_packets();
-    let pending = net.pending_packets();
-    let fp = stats_fingerprint(injected, delivered, pending, net.finalize_stats());
-    (ns, fp)
-}
-
-/// Timing + bit-identity result for one shard-scaling row (one worker
-/// count of one scenario).
-#[derive(Clone, Debug)]
-pub struct ShardTiming {
-    /// Scenario label (`shard/COLSxROWS`).
-    pub name: String,
-    /// Worker-shard count for this row.
-    pub workers: usize,
-    /// Simulated cycles per iteration.
-    pub sim_cycles: u64,
-    /// Packets in the pre-loaded burst.
-    pub injected_packets: u64,
-    /// Serial activity-driven baseline timings (shared across the
-    /// scenario's rows).
-    pub serial: BenchStats,
-    /// Sharded timings at this worker count.
-    pub sharded: BenchStats,
-    /// Whether every iteration at this worker count reproduced the
-    /// serial fingerprint byte-for-byte.
-    pub stats_identical: bool,
-}
-
-impl ShardTiming {
-    /// Sharded speedup over the serial activity-driven baseline
-    /// (median-based). Below 1.0 on hosts without spare hardware
-    /// threads — the determinism contract is machine-independent, the
-    /// speedup is not.
-    #[must_use]
-    pub fn shard_speedup(&self) -> f64 {
-        self.serial.median_ns as f64 / self.sharded.median_ns.max(1) as f64
-    }
-}
-
-/// Times `s` at every configured worker count (`samples` iterations
-/// each, interleaved with the serial baseline to decorrelate from
-/// machine noise) and checks that every sharded iteration produced the
-/// serial fingerprint.
-///
-/// Worker counts exceeding the mesh's row count are skipped (a band
-/// must span at least one full row).
-///
-/// # Panics
-///
-/// Panics if the scenario's mesh config is invalid.
-#[must_use]
-pub fn time_shard_scenario(s: &ShardScenario, samples: u32) -> Vec<ShardTiming> {
-    let cfg = NocConfig::default().with_mesh(s.cols as u16, s.rows as u16);
-    let burst = build_burst(s, &cfg);
-    let workers: Vec<usize> = s.workers.iter().copied().filter(|&w| w <= s.rows).collect();
-    // One untimed warmup per configuration; serial is the reference.
-    let (_, fp_serial) = run_shard_once(s, &cfg, &burst, 0);
-    let mut identical: Vec<bool> =
-        workers.iter().map(|&w| run_shard_once(s, &cfg, &burst, w).1 == fp_serial).collect();
-    let mut serial_ns = Vec::with_capacity(samples as usize);
-    let mut sharded_ns: Vec<Vec<u64>> = vec![Vec::with_capacity(samples as usize); workers.len()];
-    for _ in 0..samples {
-        let (ns, fp) = run_shard_once(s, &cfg, &burst, 0);
-        serial_ns.push(ns);
-        let serial_ok = fp == fp_serial;
-        for (i, &w) in workers.iter().enumerate() {
-            let (ns, fp) = run_shard_once(s, &cfg, &burst, w);
-            sharded_ns[i].push(ns);
-            identical[i] &= serial_ok && fp == fp_serial;
-        }
-    }
-    let label = s.label();
-    let serial = summarize(&format!("{label}/serial"), &serial_ns);
-    workers
-        .iter()
-        .zip(sharded_ns)
-        .zip(identical)
-        .map(|((&w, ns), ok)| ShardTiming {
-            name: label.clone(),
-            workers: w,
-            sim_cycles: s.cycles,
-            injected_packets: burst.len() as u64,
-            serial: serial.clone(),
-            sharded: summarize(&format!("{label}/x{w}"), &ns),
-            stats_identical: ok,
-        })
-        .collect()
 }
 
 /// Timing + bit-identity result for one full-kernel run.
@@ -603,23 +387,15 @@ pub struct KernelTiming {
     pub sim_cycles: u64,
     /// Whether outputs matched the reference interpreter.
     pub verified: bool,
-    /// Activity-driven timings.
-    pub active: BenchStats,
     /// Dense reference-loop timings (the baseline).
     pub dense: BenchStats,
-    /// Event-driven time-wheel timings.
+    /// Event-driven timings (the default mode).
     pub event: BenchStats,
-    /// Whether all modes agreed on cycles, outputs and statistics.
+    /// Whether both modes agreed on cycles, outputs and statistics.
     pub stats_identical: bool,
 }
 
 impl KernelTiming {
-    /// Active-set speedup over the dense baseline (median-based).
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.dense.median_ns as f64 / self.active.median_ns.max(1) as f64
-    }
-
     /// Event-driven speedup over the dense baseline (median-based).
     #[must_use]
     pub fn event_speedup(&self) -> f64 {
@@ -628,7 +404,7 @@ impl KernelTiming {
 }
 
 /// Compiles `kernel` at `size` once, then times `Platform::run_kernel`
-/// to completion under all three stepping modes.
+/// to completion under both stepping modes.
 ///
 /// # Panics
 ///
@@ -649,14 +425,10 @@ pub fn time_kernel(
     compiled.validate().expect("compiled kernel is well-formed");
     let cap = 200 * compiled.len() as u64 + 1_000_000;
     let reference = built.context.interpret(built.root).expect("interpretable");
-    let run_once = |mode: u8| -> (u64, u64, bool, String) {
+    let name = format!("{kernel}/{size}");
+    let t = time_modes(&format!("kernel/{name}"), samples, |mode| {
         let mut platform = SnackPlatform::new(cfg.clone()).expect("valid platform config");
-        match mode {
-            0 => platform.set_dense_stepping(true),
-            1 => {}
-            2 => platform.set_event_stepping(true),
-            _ => unreachable!("modes are 0..=2"),
-        }
+        platform.set_stepping(mode);
         let t0 = Instant::now();
         let run = platform
             .run_kernel(&compiled, cap)
@@ -674,44 +446,26 @@ pub fn time_kernel(
             rcu.stalled_cycles,
             stats_fingerprint(injected, delivered, 0, platform.finalize_stats()),
         );
-        (ns, run.cycles, run.outputs == reference, fp)
-    };
-    // Warmup + reference fingerprints (dense is the oracle).
-    let (_, cycles, verified, fp_dense) = run_once(0);
-    let (_, _, _, fp_active) = run_once(1);
-    let (_, _, _, fp_event) = run_once(2);
-    let mut identical = fp_active == fp_dense && fp_event == fp_dense;
-    let mut dense_ns = Vec::with_capacity(samples as usize);
-    let mut active_ns = Vec::with_capacity(samples as usize);
-    let mut event_ns = Vec::with_capacity(samples as usize);
-    for _ in 0..samples {
-        let (d, _, _, fd) = run_once(0);
-        let (a, _, _, fa) = run_once(1);
-        let (e, _, _, fe) = run_once(2);
-        identical &= fd == fp_dense && fa == fp_dense && fe == fp_dense;
-        dense_ns.push(d);
-        active_ns.push(a);
-        event_ns.push(e);
-    }
-    let name = format!("{kernel}/{size}");
+        (ns, fp, (run.cycles, run.outputs == reference))
+    });
+    let (sim_cycles, verified) = t.reference;
     KernelTiming {
-        sim_cycles: cycles,
+        sim_cycles,
         verified,
-        active: summarize(&format!("kernel/{name}/active"), &active_ns),
-        dense: summarize(&format!("kernel/{name}/dense"), &dense_ns),
-        event: summarize(&format!("kernel/{name}/event"), &event_ns),
-        stats_identical: identical,
+        dense: t.dense,
+        event: t.event,
+        stats_identical: t.identical,
         name,
     }
 }
 
 /// Times a think-heavy closed-loop CMP workload on the full
-/// [`SnackPlatform`] run loop under all three stepping modes.
+/// [`SnackPlatform`] run loop under both stepping modes.
 ///
 /// Each core issues a handful of requests separated by long exponential
 /// think gaps (mean `think_time` cycles), so most of the simulated window
 /// is genuinely dead time between bursts — the regime the event-driven
-/// time-wheel (DESIGN.md §12) is built for. Reported as an extra
+/// time-wheel (DESIGN.md §11) is built for. Reported as an extra
 /// [`StepTiming`] row named `closed-loop/COLSxROWS`.
 ///
 /// # Panics
@@ -727,14 +481,9 @@ pub fn time_closed_loop(cycles: u64, samples: u32) -> StepTiming {
         phases: vec![Phase::smooth(4, 6_000.0)],
         outstanding: 1,
     };
-    let run_once = |mode: u8| -> (u64, u64, u64, String) {
+    let t = time_modes("step/closed-loop/8x8", samples, |mode| {
         let mut p = SnackPlatform::new(cfg.clone()).expect("valid platform config");
-        match mode {
-            0 => p.set_dense_stepping(true),
-            1 => {}
-            2 => p.set_event_stepping(true),
-            _ => unreachable!("modes are 0..=2"),
-        }
+        p.set_stepping(mode);
         p.attach_workload(&profile, 29);
         let t0 = Instant::now();
         p.run(cycles);
@@ -749,34 +498,26 @@ pub fn time_closed_loop(cycles: u64, samples: u32) -> StepTiming {
             "done={done} runtime={runtime:?} {}",
             stats_fingerprint(injected, delivered, 0, stats),
         );
-        (ns, injected, flits, fp)
-    };
-    let (_, injected, flits, fp_dense) = run_once(0);
-    let (_, _, _, fp_active) = run_once(1);
-    let (_, _, _, fp_event) = run_once(2);
-    let mut identical = fp_active == fp_dense && fp_event == fp_dense;
-    let mut dense_ns = Vec::with_capacity(samples as usize);
-    let mut active_ns = Vec::with_capacity(samples as usize);
-    let mut event_ns = Vec::with_capacity(samples as usize);
-    for _ in 0..samples {
-        let (d, _, _, fd) = run_once(0);
-        let (a, _, _, fa) = run_once(1);
-        let (e, _, _, fe) = run_once(2);
-        identical &= fd == fp_dense && fa == fp_dense && fe == fp_dense;
-        dense_ns.push(d);
-        active_ns.push(a);
-        event_ns.push(e);
-    }
+        (ns, fp, (injected, flits))
+    });
+    let (injected_packets, injected_flits) = t.reference;
     StepTiming {
         name: "closed-loop/8x8".to_string(),
         sim_cycles: cycles,
-        injected_packets: injected,
-        injected_flits: flits,
-        active: summarize("step/closed-loop/8x8/active", &active_ns),
-        dense: summarize("step/closed-loop/8x8/dense", &dense_ns),
-        event: summarize("step/closed-loop/8x8/event", &event_ns),
-        stats_identical: identical,
+        injected_packets,
+        injected_flits,
+        dense: t.dense,
+        event: t.event,
+        stats_identical: t.identical,
     }
+}
+
+/// The host's hardware thread count, recorded into `BENCH_perf.json` as
+/// context for its wall-clock columns (the bit-identity columns are
+/// machine-independent, the wall-clock columns are not).
+#[must_use]
+pub fn host_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// The full `BENCH_perf.json` payload.
@@ -784,38 +525,17 @@ pub fn time_closed_loop(cycles: u64, samples: u32) -> StepTiming {
 pub struct PerfReport {
     /// `Network::step` scenario results.
     pub step: Vec<StepTiming>,
-    /// Shard-scaling rows (one per worker count per scenario).
-    pub shard: Vec<ShardTiming>,
     /// Full-kernel results.
     pub kernels: Vec<KernelTiming>,
 }
 
 impl PerfReport {
     /// Every scenario and kernel reported byte-identical simulation
-    /// statistics under all stepping modes and worker counts.
+    /// statistics under both stepping modes.
     #[must_use]
     pub fn all_identical(&self) -> bool {
         self.step.iter().all(|s| s.stats_identical)
-            && self.shard.iter().all(|s| s.stats_identical)
             && self.kernels.iter().all(|k| k.stats_identical && k.verified)
-    }
-
-    /// The best sharded speedup among rows of the largest shard mesh,
-    /// if any shard scaling ran.
-    #[must_use]
-    pub fn best_shard_speedup(&self) -> Option<(String, usize, f64)> {
-        let largest = self.shard.iter().map(|s| s.name.clone()).max()?;
-        self.shard
-            .iter()
-            .filter(|s| s.name == largest)
-            .max_by(|a, b| a.shard_speedup().total_cmp(&b.shard_speedup()))
-            .map(|s| (s.name.clone(), s.workers, s.shard_speedup()))
-    }
-
-    /// The idle-mesh speedup (active vs dense), if an `idle` scenario ran.
-    #[must_use]
-    pub fn idle_speedup(&self) -> Option<f64> {
-        self.step.iter().find(|s| s.name.starts_with("idle")).map(StepTiming::speedup)
     }
 
     /// The idle-mesh speedup (event vs dense), if an `idle` scenario ran.
@@ -824,17 +544,19 @@ impl PerfReport {
         self.step.iter().find(|s| s.name.starts_with("idle")).map(StepTiming::event_speedup)
     }
 
-    /// Writes the `snacknoc-perf-v2` JSON document (v2 added per-row
-    /// `flits_per_sec` and the `saturation/32x32` scaling row; see
-    /// DESIGN.md §16). Wall-clock fields are machine-dependent; the
-    /// `stats_identical` fields are the determinism contract.
+    /// Writes the `snacknoc-perf-v3` JSON document (v3 dropped the
+    /// sharded-stepping rows and the `active_*` columns when those modes
+    /// were removed; v2 added per-row `flits_per_sec` and the
+    /// `saturation/32x32` scaling row, DESIGN.md §14). Wall-clock fields
+    /// are machine-dependent; the `stats_identical` fields are the
+    /// determinism contract.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from `w`.
     pub fn write_json(&self, mut w: impl Write) -> io::Result<()> {
         writeln!(w, "{{")?;
-        writeln!(w, "  \"schema\": \"snacknoc-perf-v2\",")?;
+        writeln!(w, "  \"schema\": \"snacknoc-perf-v3\",")?;
         writeln!(w, "  \"host_threads\": {},", host_threads())?;
         writeln!(w, "  \"step\": [")?;
         for (i, s) in self.step.iter().enumerate() {
@@ -843,52 +565,23 @@ impl PerfReport {
                 w,
                 "    {{\"name\": \"{}\", \"sim_cycles\": {}, \"injected_packets\": {}, \
                  \"injected_flits\": {}, \
-                 \"active_median_ns\": {}, \"active_p90_ns\": {}, \
                  \"dense_median_ns\": {}, \"dense_p90_ns\": {}, \
                  \"event_median_ns\": {}, \"event_p90_ns\": {}, \
-                 \"active_cycles_per_sec\": {:.1}, \"dense_cycles_per_sec\": {:.1}, \
-                 \"event_cycles_per_sec\": {:.1}, \"flits_per_sec\": {:.1}, \
-                 \"speedup\": {:.3}, \"event_speedup\": {:.3}, \
+                 \"dense_cycles_per_sec\": {:.1}, \"event_cycles_per_sec\": {:.1}, \
+                 \"flits_per_sec\": {:.1}, \"event_speedup\": {:.3}, \
                  \"stats_identical\": {}}}{comma}",
                 crate::sweep::json_escape(&s.name),
                 s.sim_cycles,
                 s.injected_packets,
                 s.injected_flits,
-                s.active.median_ns,
-                s.active.p90_ns,
                 s.dense.median_ns,
                 s.dense.p90_ns,
                 s.event.median_ns,
                 s.event.p90_ns,
-                s.active_cycles_per_sec(),
                 s.dense_cycles_per_sec(),
                 s.event_cycles_per_sec(),
                 s.flits_per_sec(),
-                s.speedup(),
                 s.event_speedup(),
-                s.stats_identical,
-            )?;
-        }
-        writeln!(w, "  ],")?;
-        writeln!(w, "  \"shard\": [")?;
-        for (i, s) in self.shard.iter().enumerate() {
-            let comma = if i + 1 == self.shard.len() { "" } else { "," };
-            writeln!(
-                w,
-                "    {{\"name\": \"{}\", \"workers\": {}, \"sim_cycles\": {}, \
-                 \"injected_packets\": {}, \
-                 \"serial_median_ns\": {}, \"serial_p90_ns\": {}, \
-                 \"median_ns\": {}, \"p90_ns\": {}, \
-                 \"shard_speedup\": {:.3}, \"stats_identical\": {}}}{comma}",
-                crate::sweep::json_escape(&s.name),
-                s.workers,
-                s.sim_cycles,
-                s.injected_packets,
-                s.serial.median_ns,
-                s.serial.p90_ns,
-                s.sharded.median_ns,
-                s.sharded.p90_ns,
-                s.shard_speedup(),
                 s.stats_identical,
             )?;
         }
@@ -899,21 +592,16 @@ impl PerfReport {
             writeln!(
                 w,
                 "    {{\"name\": \"{}\", \"sim_cycles\": {}, \"verified\": {}, \
-                 \"active_median_ns\": {}, \"active_p90_ns\": {}, \
                  \"dense_median_ns\": {}, \"dense_p90_ns\": {}, \
                  \"event_median_ns\": {}, \"event_p90_ns\": {}, \
-                 \"speedup\": {:.3}, \"event_speedup\": {:.3}, \
-                 \"stats_identical\": {}}}{comma}",
+                 \"event_speedup\": {:.3}, \"stats_identical\": {}}}{comma}",
                 crate::sweep::json_escape(&k.name),
                 k.sim_cycles,
                 k.verified,
-                k.active.median_ns,
-                k.active.p90_ns,
                 k.dense.median_ns,
                 k.dense.p90_ns,
                 k.event.median_ns,
                 k.event.p90_ns,
-                k.speedup(),
                 k.event_speedup(),
                 k.stats_identical,
             )?;
@@ -932,10 +620,8 @@ impl PerfReport {
                     s.name.clone(),
                     s.sim_cycles.to_string(),
                     format!("{:.2e}", s.dense_cycles_per_sec()),
-                    format!("{:.2e}", s.active_cycles_per_sec()),
                     format!("{:.2e}", s.event_cycles_per_sec()),
                     format!("{:.2e}", s.flits_per_sec()),
-                    format!("{:.2}x", s.speedup()),
                     format!("{:.2}x", s.event_speedup()),
                     if s.stats_identical { "yes".into() } else { "NO".into() },
                 ]
@@ -946,44 +632,13 @@ impl PerfReport {
                 "step scenario",
                 "cycles",
                 "dense cyc/s",
-                "active cyc/s",
                 "event cyc/s",
                 "flits/s",
-                "active speedup",
                 "event speedup",
                 "bit-identical",
             ],
             &step_rows,
         );
-        if !self.shard.is_empty() {
-            let shard_rows: Vec<Vec<String>> = self
-                .shard
-                .iter()
-                .map(|s| {
-                    vec![
-                        s.name.clone(),
-                        s.workers.to_string(),
-                        s.sim_cycles.to_string(),
-                        crate::harness::fmt_ns(s.serial.median_ns),
-                        crate::harness::fmt_ns(s.sharded.median_ns),
-                        format!("{:.2}x", s.shard_speedup()),
-                        if s.stats_identical { "yes".into() } else { "NO".into() },
-                    ]
-                })
-                .collect();
-            print_table(
-                &[
-                    "shard scenario",
-                    "workers",
-                    "cycles",
-                    "serial median",
-                    "sharded median",
-                    "shard speedup",
-                    "bit-identical",
-                ],
-                &shard_rows,
-            );
-        }
         let kernel_rows: Vec<Vec<String>> = self
             .kernels
             .iter()
@@ -992,9 +647,7 @@ impl PerfReport {
                     k.name.clone(),
                     k.sim_cycles.to_string(),
                     crate::harness::fmt_ns(k.dense.median_ns),
-                    crate::harness::fmt_ns(k.active.median_ns),
                     crate::harness::fmt_ns(k.event.median_ns),
-                    format!("{:.2}x", k.speedup()),
                     format!("{:.2}x", k.event_speedup()),
                     if k.stats_identical && k.verified { "yes".into() } else { "NO".into() },
                 ]
@@ -1005,9 +658,7 @@ impl PerfReport {
                 "kernel",
                 "sim cycles",
                 "dense median",
-                "active median",
                 "event median",
-                "active speedup",
                 "event speedup",
                 "bit-identical",
             ],
@@ -1043,7 +694,7 @@ mod tests {
         for s in smoke_step_scenarios() {
             let small = StepScenario { cols: 4, rows: 4, cycles: 300, ..s };
             let t = time_step_scenario(&small, 1);
-            assert!(t.stats_identical, "{}: a stepping mode diverged from dense", t.name);
+            assert!(t.stats_identical, "{}: event stepping diverged from dense", t.name);
             if small.injection > 0.0 {
                 assert!(t.injected_packets > 0, "{}: schedule injected nothing", t.name);
             }
@@ -1053,7 +704,7 @@ mod tests {
     #[test]
     fn closed_loop_scenario_is_bit_identical_across_modes() {
         let t = time_closed_loop(30_000, 1);
-        assert!(t.stats_identical, "closed-loop: a stepping mode diverged from dense");
+        assert!(t.stats_identical, "closed-loop: event stepping diverged from dense");
         assert!(t.injected_packets > 0, "closed-loop workload injected nothing");
     }
 
@@ -1061,86 +712,60 @@ mod tests {
     fn kernel_timing_is_bit_identical_and_verified() {
         let k = time_kernel(Kernel::Mac, 12, 7, 1);
         assert!(k.verified, "outputs match the interpreter");
-        assert!(k.stats_identical, "active vs dense kernel run diverged");
+        assert!(k.stats_identical, "event vs dense kernel run diverged");
         assert!(k.sim_cycles > 0);
+    }
+
+    #[test]
+    fn stats_fingerprint_reports_true_percentiles() {
+        // A hotspot burst spreads latencies over several histogram
+        // buckets, so p50/p99 differ from the 0.5th/0.99th percentiles.
+        let mut net: Network<u64> =
+            Network::new(NocConfig::default().with_mesh(4, 4)).expect("valid config");
+        let hot = net.mesh().node_at(0, 0);
+        for node in net.mesh().nodes().collect::<Vec<_>>() {
+            for i in 0..8 {
+                let spec = PacketSpec::new(node, hot, 0, TrafficClass::Communication, 64, i);
+                net.inject(spec).expect("valid packet");
+            }
+        }
+        net.run_until_drained(100_000).expect("the burst drains");
+        let h = &net.stats().class(TrafficClass::Communication).latency_hist;
+        let (p50, p99) = (h.percentile(50.0), h.percentile(99.0));
+        assert!(p50 > h.percentile(0.5), "the burst spreads latencies");
+        let fp = stats_fingerprint(net.injected_packets(), net.delivered_packets(), 0, net.stats());
+        assert!(fp.contains(&format!("p50={p50} p99={p99}]")), "{fp}");
     }
 
     #[test]
     fn json_schema_has_required_fields() {
         let s = StepScenario { name: "idle", cols: 4, rows: 4, injection: 0.0, cycles: 200, seed: 1 };
-        let sh = ShardScenario {
-            cols: 4,
-            rows: 4,
-            packets: 40,
-            cycles: 150,
-            seed: 21,
-            workers: vec![1, 2],
-        };
         let report = PerfReport {
             step: vec![time_step_scenario(&s, 1)],
-            shard: time_shard_scenario(&sh, 1),
-            kernels: Vec::new(),
+            kernels: vec![time_kernel(Kernel::Mac, 8, 7, 1)],
         };
         let mut buf = Vec::new();
         report.write_json(&mut buf).expect("vec write");
         let json = String::from_utf8(buf).expect("utf-8");
         for field in [
-            "\"schema\": \"snacknoc-perf-v2\"",
+            "\"schema\": \"snacknoc-perf-v3\"",
             "\"host_threads\"",
             "\"injected_flits\"",
             "\"flits_per_sec\"",
-            "\"active_cycles_per_sec\"",
             "\"dense_cycles_per_sec\"",
             "\"event_cycles_per_sec\"",
             "\"dense_median_ns\"",
             "\"event_median_ns\"",
             "\"event_p90_ns\"",
-            "\"speedup\"",
             "\"event_speedup\"",
-            "\"shard\": [",
-            "\"workers\": 1",
-            "\"workers\": 2",
-            "\"serial_median_ns\"",
-            "\"shard_speedup\"",
             "\"stats_identical\": true",
         ] {
             assert!(json.contains(field), "missing {field} in {json}");
         }
-        assert!(report.all_identical());
-        assert!(report.idle_speedup().is_some());
-        assert!(report.idle_event_speedup().is_some());
-        let (name, workers, speedup) = report.best_shard_speedup().expect("shard rows present");
-        assert_eq!(name, "shard/4x4");
-        assert!(workers == 1 || workers == 2);
-        assert!(speedup.is_finite() && speedup > 0.0);
-    }
-
-    #[test]
-    fn shard_scaling_rows_are_bit_identical_to_serial() {
-        let s = ShardScenario {
-            cols: 8,
-            rows: 8,
-            packets: 200,
-            cycles: 300,
-            seed: 5,
-            workers: vec![1, 2, 4, 64], // 64 > rows: skipped, not an error
-        };
-        let rows = time_shard_scenario(&s, 1);
-        assert_eq!(rows.len(), 3, "impossible worker counts are dropped");
-        for row in &rows {
-            assert!(row.stats_identical, "{} x{} diverged from serial", row.name, row.workers);
-            assert_eq!(row.injected_packets, 200);
+        for gone in ["\"active_", "\"shard", "\"speedup\""] {
+            assert!(!json.contains(gone), "v3 dropped {gone}: {json}");
         }
-    }
-
-    #[test]
-    fn shard_burst_is_deterministic_and_saturating() {
-        let s = smoke_shard_scenarios().remove(0);
-        let cfg = NocConfig::default().with_mesh(s.cols as u16, s.rows as u16);
-        let a = build_burst(&s, &cfg);
-        assert_eq!(a, build_burst(&s, &cfg), "same seed, same burst");
-        assert_eq!(a.len(), s.packets);
-        let n = s.cols * s.rows;
-        assert!(a.iter().all(|&(src, dst, _)| src != dst && src < n && dst < n));
+        assert!(report.all_identical());
+        assert!(report.idle_event_speedup().is_some());
     }
 }

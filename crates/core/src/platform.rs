@@ -12,7 +12,7 @@ use crate::token::{CompiledKernel, DataToken, Instruction, DATA_TOKEN_BYTES, INS
 use crate::rcu::{Emission, Rcu, RcuStats};
 use snacknoc_noc::{
     ConfigError, FaultCounters, FaultPlan, FaultPlanError, LinkFaultKind, Mesh, NetStats, Network,
-    NocConfig, NodeId, PacketSpec, StallReport, TimeWheel, TrafficClass,
+    NocConfig, NodeId, PacketSpec, StallReport, Stepping, TimeWheel, TrafficClass,
 };
 use snacknoc_trace::{EventKind, TracerHandle};
 use snacknoc_workloads::coherence::{AccessPattern, CohMessage, CoherentEngine};
@@ -467,15 +467,6 @@ pub struct SnackPlatform {
     /// allocation for the whole platform instead of one `Vec` per RCU
     /// per cycle.
     emit_scratch: Vec<Emission>,
-    /// Debug mode: tick every RCU densely each cycle (and forward dense
-    /// stepping to the network). Must be bit-identical to active-set
-    /// scheduling; `tests/determinism.rs` holds that proof.
-    dense: bool,
-    /// Event-driven time-wheel mode: when the whole platform is provably
-    /// quiescent, jump the clock to the earliest scheduled wake instead of
-    /// stepping cycle by cycle. Bit-identical to both other modes;
-    /// mutually exclusive with `dense`.
-    event: bool,
     /// The calendar queue of component wakes, rebuilt at each jump
     /// attempt (components are polled, not persistently subscribed — a
     /// poll is cheap and immune to stale-entry bugs).
@@ -561,8 +552,6 @@ impl SnackPlatform {
             rcu_scratch: Vec::with_capacity(n),
             rcu_flag: vec![false; n],
             emit_scratch: Vec::new(),
-            dense: false,
-            event: false,
             wheel: TimeWheel::new(),
             pcfg: PlatformConfig::default(),
             net,
@@ -666,64 +655,21 @@ impl SnackPlatform {
         self.rcu_flag.iter_mut().for_each(|f| *f = false);
     }
 
-    /// Switches between activity-driven scheduling (the default) and the
-    /// dense reference loop that visits every component every cycle, in
-    /// both the platform's RCU phase and the underlying network (see
-    /// [`snacknoc_noc::Network::set_dense_stepping`]). The two modes are
-    /// bit-identical by construction; dense mode exists as the oracle for
-    /// that proof and for perf baselines.
-    pub fn set_dense_stepping(&mut self, dense: bool) {
-        self.dense = dense;
-        self.event = false;
-        self.net.set_event_stepping(false);
-        self.net.set_dense_stepping(dense);
+    /// Selects how the platform and its network advance the clock (see
+    /// [`Stepping`]); the network holds the mode for both. In event mode
+    /// only the RCU worklist ticks, and the run loops skip provably-dead
+    /// cycles by jumping the clock to the earliest component wake; dense
+    /// mode ticks every RCU and walks every network component each cycle
+    /// and exists as the oracle for that proof and for perf baselines.
+    /// Bit-identical either way (`tests/determinism.rs`); safe to switch
+    /// between cycles.
+    pub fn set_stepping(&mut self, stepping: Stepping) {
+        self.net.set_stepping(stepping);
     }
 
-    /// Whether the dense reference loop is in force.
-    pub fn dense_stepping(&self) -> bool {
-        self.dense
-    }
-
-    /// Switches event-driven time-wheel stepping on or off (and forwards
-    /// the mode to the underlying network). In event mode the run loops
-    /// skip provably-dead cycles by jumping the clock to the earliest
-    /// component wake; per-cycle behaviour is otherwise the active-set
-    /// scheduler's. Bit-identical to dense and active stepping —
-    /// `tests/determinism.rs` and `tests/properties.rs` hold that proof.
-    /// Turning event mode on turns dense mode off and vice versa.
-    pub fn set_event_stepping(&mut self, on: bool) {
-        self.event = on;
-        if on {
-            self.dense = false;
-        }
-        self.net.set_event_stepping(on);
-    }
-
-    /// Whether event-driven time-wheel stepping is in force.
-    pub fn event_stepping(&self) -> bool {
-        self.event
-    }
-
-    /// Partitions the underlying mesh into `shards` horizontal bands
-    /// stepped by worker threads with deterministic boundary-flit
-    /// exchange (forwards to [`snacknoc_noc::Network::set_sharding`];
-    /// `0` restores serial stepping). Sharding composes with active and
-    /// event stepping — the platform only jumps the clock when *all*
-    /// shards report quiescent — and is bit-identical to both, which
-    /// `tests/determinism.rs` holds as part of the four-mode matrix.
-    /// Turning dense mode on folds the shards back into the serial path.
-    pub fn set_sharding(&mut self, shards: usize) -> Result<(), snacknoc_noc::ShardError> {
-        if shards > 0 {
-            self.dense = false;
-            self.net.set_dense_stepping(false);
-        }
-        self.net.set_sharding(shards)
-    }
-
-    /// Worker-shard count in force on the underlying network (`0` when
-    /// stepping serially).
-    pub fn sharding(&self) -> usize {
-        self.net.sharding()
+    /// The stepping mode in force.
+    pub fn stepping(&self) -> Stepping {
+        self.net.stepping()
     }
 
     /// Total packets injected into the underlying network.
@@ -1159,7 +1105,7 @@ impl SnackPlatform {
         // which `tick` is a pure no-op (no stats, no state).
         let has_stalls =
             self.net.fault_plan().is_some_and(|p| !p.rcu_stalls.is_empty());
-        if has_stalls || self.dense {
+        if has_stalls || self.net.stepping() == Stepping::Dense {
             for i in 0..self.rcus.len() {
                 if dead_active && self.node_dead(self.nodes[i], now) {
                     // A dead RCU never ticks (and never accrues stall
@@ -1358,7 +1304,7 @@ impl SnackPlatform {
     /// only observable effect — idle statistics accounting — is replayed
     /// in bulk by [`snacknoc_noc::Network::advance_idle_to`].
     fn maybe_jump(&mut self, cap: u64) -> bool {
-        if !self.event {
+        if self.net.stepping() == Stepping::Dense {
             return false;
         }
         let now = self.net.cycle();
@@ -1367,7 +1313,28 @@ impl SnackPlatform {
         }
         debug_assert!(self.wheel.is_empty(), "wake wheel must be drained between jumps");
         // Poll every component for its next wake. Any wake at (or before)
-        // `now` means the next step is not a no-op: abort the jump.
+        // `now` means the next step is not a no-op: abort the jump. The
+        // RCU worklist goes first: it is the cheapest poll and, while a
+        // kernel runs, the likeliest veto (an RCU holding instructions
+        // past its busy horizon wants every cycle). RCUs off the worklist
+        // are idle and never wake.
+        let dead_active = self.any_dead_nodes();
+        for &i in &self.rcu_active {
+            // Dead RCUs never tick, so their frozen pending work must not
+            // pin the clock (it would otherwise report a wake at `now`
+            // forever and forbid every jump).
+            if dead_active && self.node_dead(self.nodes[i], now) {
+                continue;
+            }
+            match self.rcus[i].next_wake(now) {
+                Some(w) if w <= now => {
+                    self.wheel.clear();
+                    return false;
+                }
+                Some(w) => self.wheel.schedule(w, WakeSource::Rcu(i)),
+                None => {}
+            }
+        }
         let engine_wake = match &self.engine {
             None => None,
             Some(Workload::Phase(e)) => e.next_event_cycle(),
@@ -1375,11 +1342,11 @@ impl SnackPlatform {
         };
         if let Some(w) = engine_wake {
             if w <= now {
+                self.wheel.clear();
                 return false;
             }
             self.wheel.schedule(w, WakeSource::Engine);
         }
-        let dead_active = self.any_dead_nodes();
         for c in 0..self.cpms.len() {
             // Dead CPMs never tick (see `step`), so they never bound a
             // jump either.
@@ -1407,24 +1374,6 @@ impl SnackPlatform {
                 if let Some(s) = plan.next_rcu_stall_start_after(now) {
                     self.wheel.schedule(s, WakeSource::StallWindow);
                 }
-            }
-        }
-        for (i, r) in self.rcus.iter().enumerate() {
-            // Dead RCUs never tick, so their frozen pending work must not
-            // pin the clock (it would otherwise report a wake at `now`
-            // forever and forbid every jump).
-            if dead_active
-                && self.net.fault_plan().is_some_and(|p| p.rcu_dead(self.nodes[i], now))
-            {
-                continue;
-            }
-            match r.next_wake(now) {
-                Some(w) if w <= now => {
-                    self.wheel.clear();
-                    return false;
-                }
-                Some(w) => self.wheel.schedule(w, WakeSource::Rcu(i)),
-                None => {}
             }
         }
         if let Some(w) = self.net.next_wake() {
@@ -2451,22 +2400,6 @@ mod tests {
         assert_eq!(run_a.outputs, run_b.outputs);
     }
 
-    /// Applies stepping mode 0 (dense), 1 (active, the default),
-    /// 2 (event), 3 (sharded ×2) or 4 (event + sharded ×2) to a fresh
-    /// platform.
-    fn set_mode(p: &mut SnackPlatform, mode: u8) {
-        match mode {
-            0 => p.set_dense_stepping(true),
-            1 => {}
-            2 => p.set_event_stepping(true),
-            3 => p.set_sharding(2).expect("two shards fit the test mesh"),
-            _ => {
-                p.set_event_stepping(true);
-                p.set_sharding(2).expect("two shards fit the test mesh");
-            }
-        }
-    }
-
     /// A comparable snapshot of everything a stepping mode could perturb.
     fn mode_fingerprint(p: &mut SnackPlatform) -> (u64, u64, u64, u64, u64, u64, u64, usize) {
         let rcu = p.rcu_stats();
@@ -2494,9 +2427,9 @@ mod tests {
     /// neither early (spuriously, mid-jump) nor late (jumped over).
     #[test]
     fn event_mode_watchdog_fires_at_the_exact_dense_timeout_cycle() {
-        let run = |mode: u8| {
+        let run = |mode: Stepping| {
             let mut p = platform();
-            set_mode(&mut p, mode);
+            p.set_stepping(mode);
             let k = cross_pe_kernel(&p.mesh().clone());
             // Drop *everything*, protected classes included: the kernel
             // can never progress and the platform goes fully quiescent,
@@ -2516,13 +2449,8 @@ mod tests {
                 other => panic!("expected KernelTimeout, got {other:?}"),
             }
         };
-        let dense = run(0);
-        let active = run(1);
-        let event = run(2);
-        assert_eq!(dense, active, "active mode diverged from dense");
-        assert_eq!(dense, event, "event mode diverged from dense");
-        assert_eq!(dense, run(3), "sharded mode diverged from dense");
-        assert_eq!(dense, run(4), "event+sharded mode diverged from dense");
+        let dense = run(Stepping::Dense);
+        assert_eq!(dense, run(Stepping::Event), "event mode diverged from dense");
         assert!(
             dense.0 >= SnackPlatform::NO_PROGRESS_WINDOW
                 && dense.0 < SnackPlatform::NO_PROGRESS_WINDOW + 1_000,
@@ -2537,9 +2465,9 @@ mod tests {
     /// losses and replaying exactly the same tokens.
     #[test]
     fn event_mode_recovery_matches_dense_across_watchdog_deadlines() {
-        let run = |mode: u8| {
+        let run = |mode: Stepping| {
             let mut p = platform();
-            set_mode(&mut p, mode);
+            p.set_stepping(mode);
             let mesh = *p.mesh();
             let k = cross_pe_kernel(&mesh);
             p.set_fault_plan(blackout_plan(&mesh, 0, 2_000)).unwrap();
@@ -2547,11 +2475,8 @@ mod tests {
             let run = p.run_kernel(&k, 100_000).expect("kernel survives the outage");
             (run.cycles, run.outputs.clone(), mode_fingerprint(&mut p))
         };
-        let dense = run(0);
-        assert_eq!(dense, run(1), "active mode diverged from dense");
-        assert_eq!(dense, run(2), "event mode diverged from dense");
-        assert_eq!(dense, run(3), "sharded mode diverged from dense");
-        assert_eq!(dense, run(4), "event+sharded mode diverged from dense");
+        let dense = run(Stepping::Dense);
+        assert_eq!(dense, run(Stepping::Event), "event mode diverged from dense");
     }
 
     /// Satellite 1: a fault-free event-mode run with recovery armed must
@@ -2560,7 +2485,7 @@ mod tests {
     #[test]
     fn idle_jumps_do_not_trip_the_recovery_watchdog_spuriously() {
         let mut p = platform();
-        p.set_event_stepping(true);
+        p.set_stepping(Stepping::Event);
         p.enable_recovery(RecoveryConfig::aggressive());
         let k = cross_pe_kernel(&p.mesh().clone());
         let run = p.run_kernel(&k, 100_000).expect("finishes");
@@ -2578,9 +2503,9 @@ mod tests {
     /// think-time gaps between workload bursts are where the jumps land.
     #[test]
     fn event_mode_multiprogram_is_bit_identical() {
-        let run = |mode: u8| {
+        let run = |mode: Stepping| {
             let mut p = platform();
-            set_mode(&mut p, mode);
+            p.set_stepping(mode);
             let profile = snacknoc_workloads::suite::profile(snacknoc_workloads::Benchmark::Radix)
                 .scaled(0.002);
             p.attach_workload(&profile, 23);
@@ -2594,11 +2519,8 @@ mod tests {
                 mode_fingerprint(&mut p),
             )
         };
-        let dense = run(0);
-        assert_eq!(dense, run(1), "active mode diverged from dense");
-        assert_eq!(dense, run(2), "event mode diverged from dense");
-        assert_eq!(dense, run(3), "sharded mode diverged from dense");
-        assert_eq!(dense, run(4), "event+sharded mode diverged from dense");
+        let dense = run(Stepping::Dense);
+        assert_eq!(dense, run(Stepping::Event), "event mode diverged from dense");
     }
 
     #[test]
@@ -2606,9 +2528,9 @@ mod tests {
         // Node (1,1) hosts sub-block 0 and is dead before submission: the
         // first attempt must already run on a remapped kernel — no wasted
         // stall window, no penalty cycles.
-        let run = |mode: u8| {
+        let run = |mode: Stepping| {
             let mut p = platform();
-            set_mode(&mut p, mode);
+            p.set_stepping(mode);
             let mesh = *p.mesh();
             let k = cross_pe_kernel(&mesh);
             let plan = FaultPlan::seeded(9).with_dead_rcu(mesh.node_at(1, 1), 0);
@@ -2624,11 +2546,8 @@ mod tests {
             assert_eq!(d.total_cycles(), run.cycles);
             (run.cycles, run.outputs.clone(), d, mode_fingerprint(&mut p))
         };
-        let dense = run(0);
-        assert_eq!(dense, run(1), "active mode diverged from dense");
-        assert_eq!(dense, run(2), "event mode diverged from dense");
-        assert_eq!(dense, run(3), "sharded mode diverged from dense");
-        assert_eq!(dense, run(4), "event+sharded mode diverged from dense");
+        let dense = run(Stepping::Dense);
+        assert_eq!(dense, run(Stepping::Event), "event mode diverged from dense");
     }
 
     #[test]
@@ -2637,9 +2556,9 @@ mod tests {
         // instruction packet can arrive: attempt 1 stalls out a full
         // no-progress window, is quarantined, and attempt 2 resubmits the
         // kernel remapped off the corpse under a fresh namespace epoch.
-        let run = |mode: u8| {
+        let run = |mode: Stepping| {
             let mut p = platform();
-            set_mode(&mut p, mode);
+            p.set_stepping(mode);
             let mesh = *p.mesh();
             let k = cross_pe_kernel(&mesh);
             let plan = FaultPlan::seeded(13).with_dead_rcu(mesh.node_at(2, 3), 1);
@@ -2658,22 +2577,19 @@ mod tests {
             assert_eq!(d.final_attempt_cycles, run.cycles);
             (run.cycles, run.outputs.clone(), d, mode_fingerprint(&mut p))
         };
-        let dense = run(0);
-        assert_eq!(dense, run(1), "active mode diverged from dense");
-        assert_eq!(dense, run(2), "event mode diverged from dense");
-        assert_eq!(dense, run(3), "sharded mode diverged from dense");
-        assert_eq!(dense, run(4), "event+sharded mode diverged from dense");
+        let dense = run(Stepping::Dense);
+        assert_eq!(dense, run(Stepping::Event), "event mode diverged from dense");
     }
 
     #[test]
     fn dead_home_cpm_node_fails_over_to_a_standby_corner() {
-        let run = |mode: u8| {
+        let run = |mode: Stepping| {
             let mut p = SnackPlatform::with_cpm_count(
                 NocConfig::default().with_sample_window(1_000),
                 4,
             )
             .unwrap();
-            set_mode(&mut p, mode);
+            p.set_stepping(mode);
             let mesh = *p.mesh();
             let home_node = p.cpm_at(0).node();
             let k = cross_pe_kernel(&mesh);
@@ -2686,11 +2602,8 @@ mod tests {
             assert_eq!(d.dead_rcus, 1);
             (run.cycles, run.outputs.clone(), d, mode_fingerprint(&mut p))
         };
-        let dense = run(0);
-        assert_eq!(dense, run(1), "active mode diverged from dense");
-        assert_eq!(dense, run(2), "event mode diverged from dense");
-        assert_eq!(dense, run(3), "sharded mode diverged from dense");
-        assert_eq!(dense, run(4), "event+sharded mode diverged from dense");
+        let dense = run(Stepping::Dense);
+        assert_eq!(dense, run(Stepping::Event), "event mode diverged from dense");
     }
 
     #[test]

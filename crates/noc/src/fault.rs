@@ -592,43 +592,10 @@ impl FaultState {
         flit: &crate::flit::Flit,
     ) -> FaultAction {
         // Disjoint field borrows: the decision reads the compiled plan
-        // while mutating the memo and counters.
+        // while mutating the memo and counters. Drop/corrupt rolls hash
+        // `(seed, link, packet)` — common random numbers — so the verdict
+        // is independent of evaluation order.
         let Self { plan, drops, corrupts, dropping, counters, .. } = self;
-        Self::decide(plan, drops, corrupts, lid, cycle, flit, dropping, counters)
-    }
-
-    /// [`FaultState::on_link_flit`] with the mutable halves — the
-    /// mid-packet drop memo and the event counters — supplied by the
-    /// caller. The sharded stepper gives every shard its own memo and
-    /// counter delta: each link id is consumed by exactly one shard, so a
-    /// `(link, packet)` memo entry lives and dies inside a single shard,
-    /// and the counters are pure sums merged in shard-index order.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_link_flit_sharded(
-        &self,
-        lid: usize,
-        cycle: u64,
-        flit: &crate::flit::Flit,
-        dropping: &mut HashSet<(usize, PacketId)>,
-        counters: &mut FaultCounters,
-    ) -> FaultAction {
-        Self::decide(&self.plan, &self.drops, &self.corrupts, lid, cycle, flit, dropping, counters)
-    }
-
-    /// The shared decision core. Drop/corrupt rolls hash `(seed, link,
-    /// packet)` — common random numbers — so the verdict is independent
-    /// of evaluation order and of which thread asks.
-    #[allow(clippy::too_many_arguments)]
-    fn decide(
-        plan: &FaultPlan,
-        drops: &[(usize, u64, u64, f64)],
-        corrupts: &[(usize, u64, u64, f64)],
-        lid: usize,
-        cycle: u64,
-        flit: &crate::flit::Flit,
-        dropping: &mut HashSet<(usize, PacketId)>,
-        counters: &mut FaultCounters,
-    ) -> FaultAction {
         let (kind, class, protected, already_corrupted, packet_id) =
             (flit.kind(), flit.class(), flit.protected(), flit.corrupted(), flit.packet_id);
         if !kind.is_head() {
@@ -671,21 +638,6 @@ impl FaultState {
             return FaultAction::DeliverCorrupted;
         }
         FaultAction::Deliver
-    }
-
-    /// Mutable access to the mid-packet drop memo, for the sharded
-    /// stepper's mode transitions (entries migrate to the shard that owns
-    /// the link's destination router, and back on exit).
-    pub(crate) fn dropping_mut(&mut self) -> &mut HashSet<(usize, PacketId)> {
-        &mut self.dropping
-    }
-
-    /// Folds a shard's fault-counter delta into the global counters.
-    pub(crate) fn merge_counters(&mut self, delta: &FaultCounters) {
-        self.counters.injected += delta.injected;
-        self.counters.dropped_flits += delta.dropped_flits;
-        self.counters.dropped_packets += delta.dropped_packets;
-        self.counters.corrupted_packets += delta.corrupted_packets;
     }
 }
 

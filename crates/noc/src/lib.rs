@@ -72,7 +72,7 @@ pub use fault::{
     StallWindow,
 };
 pub use flit::{Flit, FlitKind, TrafficClass};
-pub use network::{Network, ShardError, StallReport};
+pub use network::{Network, StallReport, Stepping};
 pub use packet::{Packet, PacketId, PacketSpec};
 pub use pool::{PayloadPool, PayloadRef, PoolExhausted};
 pub use routing::{Dir, RoutingAlgorithm};

@@ -15,9 +15,6 @@ use snacknoc_trace::{EventKind, TracerHandle};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
-mod sharded;
-use sharded::Sharding;
-
 /// A one-cycle-latency directed link between two routers.
 #[derive(Clone, Debug)]
 struct Link {
@@ -52,9 +49,6 @@ struct Partial {
     head: Option<Flit>,
     flits: u64,
     corrupted: bool,
-    /// Destination node index — lets sharded stepping keep each partial
-    /// in the lane of the shard that owns its ejecting router.
-    dst: usize,
 }
 
 /// A structured snapshot of why a network failed to drain: which routers
@@ -113,7 +107,7 @@ pub struct Network<P> {
     nis: Vec<NetIf>,
     links: Vec<Link>,
     /// Slab storage for in-flight packet payloads; head flits carry only
-    /// a [`PayloadRef`] (DESIGN.md §16). Inserts happen at injection,
+    /// a [`PayloadRef`] (DESIGN.md §14). Inserts happen at injection,
     /// takes/releases at ejection and fault drops — all serial contexts,
     /// so slot assignment is identical across every stepping mode.
     pool: PayloadPool<P>,
@@ -151,17 +145,9 @@ pub struct Network<P> {
     credits_scratch: Vec<CreditMsg>,
     /// Phase-4 scratch for router departures.
     departures_scratch: Vec<Departure>,
-    /// Dense (reference) stepping: every phase walks every component, as
-    /// the pre-activity-driven simulator did. Bit-identical to the
-    /// active-set schedule — `tests/determinism.rs` proves it — and kept
-    /// as the debug baseline the `snack-perf` speedups are measured
-    /// against.
-    dense: bool,
-    /// Event-driven stepping: when every worklist is empty,
-    /// [`Network::step_until`] jumps the clock straight to the next
-    /// scheduled wake event (or the target) instead of iterating dead
-    /// cycles. Bit-identical to both other modes; see DESIGN.md §12.
-    event: bool,
+    /// How the clock advances (DESIGN.md §11): the dense reference loop
+    /// or activity-driven event stepping. Bit-identical either way.
+    stepping: Stepping,
     /// Calendar queue of future wake cycles. Worklist-driven components
     /// wake "now" by construction; the wheel holds only timed events —
     /// currently the fault-plan window edges, scheduled once at
@@ -182,11 +168,38 @@ pub struct Network<P> {
     /// Structured event tracer; [`TracerHandle::Nop`] (the default) keeps
     /// every hook a single discriminant branch with no event construction.
     tracer: TracerHandle,
-    /// Sharded stepping state (DESIGN.md §13): the mesh split into
-    /// horizontal row bands stepped by one worker thread each, with
-    /// per-cycle barrier sync and boundary mailboxes. `None` (the
-    /// default) keeps the serial paths untouched.
-    sharding: Option<Sharding>,
+}
+
+/// How a [`Network`] — and the platform built on it — advances the
+/// clock. Both modes are bit-identical: every statistic, delivery cycle
+/// and fault decision matches (`tests/determinism.rs` and
+/// `tests/properties.rs` hold the proof). Safe to switch between cycles.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum Stepping {
+    /// The reference loop: every phase walks every router, link and NI
+    /// (and, on the platform, every RCU) each cycle. Slow; kept as the
+    /// oracle the event mode is checked against.
+    Dense,
+    /// Activity-driven stepping: each phase visits only the worklists of
+    /// components that can make progress, and whenever the whole model
+    /// is provably quiescent the run loops jump the clock to the next
+    /// scheduled wake instead of iterating dead cycles.
+    #[default]
+    Event,
+}
+
+impl Stepping {
+    /// Both modes, the dense oracle first.
+    pub const ALL: [Stepping; 2] = [Stepping::Dense, Stepping::Event];
+}
+
+impl fmt::Display for Stepping {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Stepping::Dense => "dense",
+            Stepping::Event => "event",
+        })
+    }
 }
 
 /// A timed wake event in the network's calendar queue.
@@ -229,31 +242,6 @@ impl std::fmt::Display for InjectError {
 }
 
 impl std::error::Error for InjectError {}
-
-/// Error returned by [`Network::set_sharding`] for impossible tilings.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-#[non_exhaustive]
-pub enum ShardError {
-    /// More tiles than mesh rows: a row band needs at least one row.
-    TooManyShards {
-        /// Requested shard count.
-        shards: usize,
-        /// Mesh rows available to tile.
-        rows: usize,
-    },
-}
-
-impl fmt::Display for ShardError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShardError::TooManyShards { shards, rows } => {
-                write!(f, "{shards} shards requested but the mesh has only {rows} rows")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ShardError {}
 
 impl<P> Network<P> {
     /// Builds a network from a validated configuration.
@@ -310,8 +298,7 @@ impl<P> Network<P> {
             ni_backlog_total: 0,
             credits_scratch: Vec::new(),
             departures_scratch: Vec::new(),
-            dense: false,
-            event: false,
+            stepping: Stepping::default(),
             wheel: TimeWheel::new(),
             cycle: 0,
             next_packet_id: 0,
@@ -324,7 +311,6 @@ impl<P> Network<P> {
             fault: None,
             stats,
             tracer: TracerHandle::Nop,
-            sharding: None,
         })
     }
 
@@ -363,11 +349,6 @@ impl<P> Network<P> {
             }
         }
         self.fault = Some(state);
-        // A fresh plan starts with an empty mid-packet drop memo; stale
-        // per-lane memos from a previous plan must not outlive it.
-        if let Some(sh) = self.sharding.as_mut() {
-            sh.clear_fault_memos();
-        }
         Ok(())
     }
 
@@ -454,7 +435,6 @@ impl<P> Network<P> {
     /// which would otherwise grow silently.
     pub fn stuck_packets(&self) -> usize {
         self.reassembly.len()
-            + self.sharding.as_ref().map_or(0, Sharding::stuck_packets)
     }
 
     /// Queues a packet for injection at its source NI.
@@ -498,12 +478,7 @@ impl<P> Network<P> {
             self.ni_backlog_total += nf as u64;
             if !self.ni_flag[src] {
                 self.ni_flag[src] = true;
-                // Under sharded stepping the NI worklist lives in the
-                // owning shard's lane; the wakeup edge is the same.
-                match self.sharding.as_mut() {
-                    Some(sh) => sh.push_ni_active(src),
-                    None => self.ni_active.push(src),
-                }
+                self.ni_active.push(src);
             }
         }
         let queue = &mut self.nis[src].queues[spec.vnet as usize];
@@ -588,44 +563,17 @@ impl<P> Network<P> {
         self.ni_backlog_total
     }
 
-    /// Switches between the activity-driven scheduler (the default) and
-    /// the dense reference loop that walks every router, link and NI each
-    /// cycle. Both modes are bit-identical — dense stepping exists as the
-    /// verification baseline (`tests/determinism.rs`,
-    /// `tests/properties.rs`) and as the denominator for the `snack-perf`
-    /// speedup report. Safe to flip between cycles: both modes keep the
-    /// worklists consistent.
-    pub fn set_dense_stepping(&mut self, dense: bool) {
-        self.dense = dense;
-        if dense {
-            self.event = false;
-            // Dense stepping walks the serial worklists; fold any sharded
-            // state back into them first.
-            sharded::unshard(self);
-        }
+    /// Selects how the clock advances (see [`Stepping`]). Dense stepping
+    /// exists as the verification baseline and as the denominator of the
+    /// `snack-perf` speedup report. Safe to switch between cycles: both
+    /// modes keep the worklists consistent.
+    pub fn set_stepping(&mut self, stepping: Stepping) {
+        self.stepping = stepping;
     }
 
-    /// Whether the dense reference loop is active.
-    pub fn dense_stepping(&self) -> bool {
-        self.dense
-    }
-
-    /// Enables or disables event-driven stepping (DESIGN.md §12): per-cycle
-    /// stepping stays the active-set schedule, but whenever the network is
-    /// provably quiescent, [`Network::step_until`] and [`Network::run`]
-    /// jump the clock directly to the next wake event instead of iterating
-    /// dead cycles. Bit-identical to the active and dense modes; enabling
-    /// it turns dense stepping off.
-    pub fn set_event_stepping(&mut self, on: bool) {
-        self.event = on;
-        if on {
-            self.dense = false;
-        }
-    }
-
-    /// Whether event-driven stepping is enabled.
-    pub fn event_stepping(&self) -> bool {
-        self.event
+    /// The stepping mode in force.
+    pub fn stepping(&self) -> Stepping {
+        self.stepping
     }
 
     /// Whether a [`Network::step`] right now would be a provable no-op
@@ -639,7 +587,6 @@ impl<P> Network<P> {
             && self.occupied_links.is_empty()
             && self.ni_active.is_empty()
             && self.active.is_empty()
-            && self.sharding.as_ref().is_none_or(Sharding::is_quiescent)
     }
 
     /// The earliest scheduled wake cycle strictly after the current cycle
@@ -675,23 +622,15 @@ impl<P> Network<P> {
     /// Advances the clock to exactly `target`, stepping active cycles one
     /// at a time and — in event mode — jumping over provably-dead
     /// stretches (landing on every scheduled wake event in between). In
-    /// active/dense mode this is plain per-cycle stepping to `target`.
+    /// dense mode this is plain per-cycle stepping to `target`.
     pub fn step_until(&mut self, target: u64) {
         while self.cycle < target {
-            if self.event && self.is_quiescent() {
+            if self.stepping == Stepping::Event && self.is_quiescent() {
                 let to = self.next_wake().map_or(target, |w| w.min(target));
                 if to > self.cycle {
                     self.advance_idle_to(to);
                     continue;
                 }
-            }
-            if self.sharding.is_some() {
-                // Amortize the thread-scope setup over the whole stretch.
-                // In event mode the batch returns early once every shard
-                // is provably quiescent, handing control back to the
-                // clock-jump branch above.
-                sharded::step_batch(self, target - self.cycle);
-                continue;
             }
             self.step();
         }
@@ -731,17 +670,13 @@ impl<P> Network<P> {
     /// components that can make progress (worklists maintained by the
     /// previous phases), and **allocation-free in steady state** (every
     /// transient buffer is a reusable scratch). The dense reference loop
-    /// ([`Network::set_dense_stepping`]) walks every component instead;
-    /// the two are bit-identical because a skipped component is provably
-    /// quiescent — see DESIGN.md §11 for the invariants and the wakeup
-    /// edges.
+    /// ([`Stepping::Dense`]) walks every component instead; the two are
+    /// bit-identical because a skipped component is provably quiescent —
+    /// see DESIGN.md §11 for the invariants and the wakeup edges.
     pub fn step(&mut self) {
-        if self.sharding.is_some() {
-            sharded::step_batch(self, 1);
-            return;
-        }
         self.cycle += 1;
         let cycle = self.cycle;
+        let dense = self.stepping == Stepping::Dense;
 
         // Phase 1: apply credit / VC-free signals sent last cycle. The
         // pending list ping-pongs with a scratch buffer: this cycle's
@@ -769,7 +704,7 @@ impl<P> Network<P> {
         // anyway).
         let cap = self.cfg.buffers_per_vc as usize;
         debug_assert!(self.links_list_consistent());
-        if self.dense {
+        if dense {
             for lid in 0..self.links.len() {
                 if self.links[lid].slot.is_some() {
                     self.deliver_link(lid, cycle, cap);
@@ -791,7 +726,7 @@ impl<P> Network<P> {
         // inject. A node with an empty queue is a provable no-op in the
         // dense loop (no state, not even the vnet round-robin pointer,
         // changes), so skipping it is exact.
-        if self.dense {
+        if dense {
             self.ni_active.clear();
             for node in 0..self.nis.len() {
                 let backlog = self.inject_from_ni(node, cycle);
@@ -822,7 +757,7 @@ impl<P> Network<P> {
         // order for Phase 5. No same-phase wakeups exist: credits are
         // deferred to next Phase 1 and link fills to next Phase 2.
         let use_down = self.fault.as_ref().is_some_and(|f| f.has_down_windows());
-        if self.dense {
+        if dense {
             self.active.clear();
             for r in 0..self.routers.len() {
                 if !self.work[r] {
@@ -859,7 +794,7 @@ impl<P> Network<P> {
         // same order as the dense scan, then credits the zeros in one
         // batched call — identical `OccupancyCdf` updates.
         let per_router_capacity = self.buffer_capacity as f64 / self.routers.len() as f64;
-        if self.dense {
+        if dense {
             let mut zeros = 0u64;
             for r in &self.routers {
                 let buffered = r.buffered_flits();
@@ -958,7 +893,7 @@ impl<P> Network<P> {
     /// consulted per flit. Dropped flits synthesize their upstream credit
     /// so flow control stays live; corrupted head flits carry the mark to
     /// delivery. No-op if the link slot is empty, so calling it for every
-    /// link (dense mode) or only occupied links (active mode) is identical.
+    /// link (dense mode) or only occupied links (event mode) is identical.
     fn deliver_link(&mut self, lid: usize, cycle: u64, cap: usize) {
         let Some(mut flit) = self.links[lid].slot.take() else { return };
         let action = match self.fault.as_mut() {
@@ -1016,7 +951,7 @@ impl<P> Network<P> {
     /// the node still has backlogged flits (i.e. should stay on the NI
     /// worklist). A node with empty queues is a pure no-op in the dense
     /// loop — no state (including the round-robin pointer) changes — so
-    /// skipping it in active mode is exact.
+    /// skipping it in event mode is exact.
     fn inject_from_ni(&mut self, node: usize, cycle: u64) -> bool {
         let vnets = self.cfg.vnets as usize;
         let k = self.cfg.vcs_per_vnet as usize;
@@ -1137,7 +1072,7 @@ impl<P> Network<P> {
         let entry = self
             .reassembly
             .entry(pid)
-            .or_insert(Partial { head: None, flits: 0, corrupted: false, dst: node });
+            .or_insert(Partial { head: None, flits: 0, corrupted: false });
         entry.flits += 1;
         entry.corrupted |= flit.corrupted();
         if flit.kind().is_head() {
@@ -1235,43 +1170,6 @@ impl<P> Network<P> {
     /// shorter, so a nonzero value flags a routing livelock).
     pub fn hops_saturations(&self) -> u64 {
         self.routers.iter().map(Router::hops_saturations).sum()
-    }
-
-    /// Switches between serial stepping (`shards == 0`, the default) and
-    /// sharded stepping (DESIGN.md §13): the mesh is split into `shards`
-    /// horizontal row bands, each stepped by its own worker thread, with
-    /// per-cycle barrier synchronization and deterministic boundary-flit
-    /// mailboxes. Bit-identical to every serial mode for any shard count —
-    /// `tests/determinism.rs` and `tests/properties.rs` prove it against
-    /// the dense oracle.
-    ///
-    /// Sharding composes with event stepping (the clock still jumps dead
-    /// stretches, once *all* shards are quiescent) and turns dense
-    /// stepping off; enabling dense stepping folds the shards back.
-    /// Sharded stepping records no tracer events (install
-    /// [`TracerHandle::Nop`] semantics apply regardless of the handle).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardError`] if `shards` exceeds the mesh row count.
-    pub fn set_sharding(&mut self, shards: usize) -> Result<(), ShardError> {
-        if shards == self.sharding() {
-            return Ok(());
-        }
-        if shards > self.mesh.rows() {
-            return Err(ShardError::TooManyShards { shards, rows: self.mesh.rows() });
-        }
-        sharded::unshard(self);
-        if shards > 0 {
-            sharded::enshard(self, shards);
-            self.dense = false;
-        }
-        Ok(())
-    }
-
-    /// The active shard (worker-thread) count; 0 when stepping serially.
-    pub fn sharding(&self) -> usize {
-        self.sharding.as_ref().map_or(0, |sh| sh.tiles)
     }
 }
 
@@ -1825,8 +1723,9 @@ mod tests {
         assert!(a.1.dropped_packets > 0 && a.1.corrupted_packets > 0, "faults actually fired");
     }
 
+
     // ---------------------------------------------------------------
-    // Sharded stepping (DESIGN.md §13)
+    // Stepping modes (DESIGN.md §11)
     // ---------------------------------------------------------------
 
     /// Everything observable about a finished run, for byte-identity
@@ -1859,8 +1758,8 @@ mod tests {
         )
     }
 
-    /// Drains in batch-friendly chunks so sharded runs amortize the
-    /// per-batch thread-scope setup.
+    /// Drains through `step_until`, so event-mode runs take their clock
+    /// jumps on the way.
     fn drain_in_chunks(n: &mut Network<u64>) {
         for _ in 0..2_000 {
             if n.pending_packets() == 0 {
@@ -1872,13 +1771,9 @@ mod tests {
         panic!("network failed to drain: {}", n.stall_report());
     }
 
-    fn faulted_random_run(shards: usize) -> RunFingerprint {
+    fn faulted_random_run(stepping: Stepping) -> RunFingerprint {
         let mut n = net(NocConfig::axnoc());
-        if shards == 0 {
-            n.set_dense_stepping(true);
-        } else {
-            n.set_sharding(shards).unwrap();
-        }
+        n.set_stepping(stepping);
         n.set_fault_plan(
             FaultPlan::seeded(1234)
                 .with_drop_rate(0.2)
@@ -1902,103 +1797,100 @@ mod tests {
     }
 
     #[test]
-    fn sharded_stepping_matches_the_dense_oracle() {
-        let dense = faulted_random_run(0);
-        for shards in [1, 2, 4] {
-            assert_eq!(
-                faulted_random_run(shards),
-                dense,
-                "{shards}-shard run must be byte-identical to dense"
-            );
-        }
+    fn event_stepping_matches_the_dense_oracle_under_faults() {
+        let dense = faulted_random_run(Stepping::Dense);
+        assert_eq!(faulted_random_run(Stepping::Event), dense, "event run must match dense");
         assert!(dense.2 > 0, "faults actually fired");
     }
 
     #[test]
-    fn sharding_survives_mid_run_mode_flips() {
-        let run = |flip: bool| {
-            let mut n = net(NocConfig::binochs());
+    fn stepping_defaults_to_event() {
+        let n = net(NocConfig::binochs());
+        assert_eq!(n.stepping(), Stepping::Event);
+        assert_eq!(Stepping::ALL, [Stepping::Dense, Stepping::Event]);
+        assert_eq!(Stepping::Dense.to_string(), "dense");
+    }
+
+    #[test]
+    fn mid_run_stepping_flips_match_an_all_dense_run() {
+        let run = |flip: bool, faulted: bool| {
+            let mut n = net(NocConfig::binochs().with_sample_window(100));
+            n.set_stepping(Stepping::Dense);
+            if faulted {
+                // A drop window and a link-down window that both open and
+                // close after the flips begin: event-mode jumps must land
+                // on every window edge, and the drop memo must carry
+                // across each switch.
+                let corner = n.mesh().node_at(1, 1);
+                n.set_fault_plan(
+                    FaultPlan::seeded(77)
+                        .with_targets(comm_targets())
+                        .with_corrupt_rate(0.05)
+                        .with_link_fault(corner, Dir::East, 30, 400, LinkFaultKind::Drop {
+                            rate: 0.5,
+                        })
+                        .with_link_fault(corner, Dir::South, 2_000, 2_600, LinkFaultKind::Down),
+                )
+                .unwrap();
+            }
             let nodes: Vec<_> = n.mesh().nodes().collect();
             for (i, &src) in nodes.iter().enumerate() {
                 for (j, &dst) in nodes.iter().enumerate() {
                     n.inject(comm(src, dst, 64, (i * 16 + j) as u64)).unwrap();
                 }
             }
-            // Flip serial → 2 shards → 3 shards → serial mid-flight: the
-            // state migrations must be exact, not just the steady state.
+            // Flip dense → event → dense → event mid-flight, then cross a
+            // dead stretch in event mode and come back to dense for a
+            // second burst: every switch must be exact, not just the
+            // steady state.
+            let flip_to = |n: &mut Network<u64>, mode: Stepping| {
+                if flip {
+                    n.set_stepping(mode);
+                }
+            };
             n.run(20);
-            if flip {
-                n.set_sharding(2).unwrap();
-            }
+            flip_to(&mut n, Stepping::Event);
             n.run(50);
-            if flip {
-                n.set_sharding(3).unwrap();
-            }
+            flip_to(&mut n, Stepping::Dense);
             n.run(50);
-            if flip {
-                n.set_sharding(0).unwrap();
+            flip_to(&mut n, Stepping::Event);
+            drain_in_chunks(&mut n);
+            n.step_until(3_000);
+            flip_to(&mut n, Stepping::Dense);
+            let (a, b) = (n.mesh().node_at(0, 0), n.mesh().node_at(3, 3));
+            for i in 0..8 {
+                n.inject(comm(a, b, 64, 10_000 + i)).unwrap();
+                n.inject(comm(b, a, 64, 20_000 + i)).unwrap();
             }
             drain_in_chunks(&mut n);
-            assert_eq!(n.sharding(), 0);
             run_fingerprint(&mut n)
         };
-        assert_eq!(run(true), run(false), "mode flips are observationally free");
+        for faulted in [false, true] {
+            let dense = run(false, faulted);
+            assert_eq!(run(true, faulted), dense, "flips are observationally free (faults: {faulted})");
+            if faulted {
+                assert!(dense.2 > 0 && dense.5 > 0, "the drop window fired");
+            }
+        }
     }
 
     #[test]
-    fn sharded_event_stepping_jumps_dead_cycles_identically() {
-        let run = |shards: usize| {
+    fn event_stepping_jumps_dead_cycles_identically() {
+        let run = |stepping: Stepping| {
             let mut n = net(NocConfig::binochs().with_sample_window(100));
-            n.set_event_stepping(true);
-            if shards > 0 {
-                n.set_sharding(shards).unwrap();
-                assert!(n.event_stepping(), "sharding composes with event mode");
-            }
+            n.set_stepping(stepping);
             let src = n.mesh().node_at(0, 0);
             let dst = n.mesh().node_at(3, 3);
             for i in 0..10 {
                 n.inject(comm(src, dst, 64, i)).unwrap();
             }
-            // Drain, then cross a long dead stretch: the sharded batch
-            // must hand control back to the clock jump immediately.
+            // Drain, then cross a long dead stretch.
             n.step_until(50_000);
             assert!(n.is_quiescent());
             run_fingerprint(&mut n)
         };
-        let serial = run(0);
-        assert_eq!(serial.0, 50_000, "event mode lands exactly on the target");
-        for shards in [1, 2, 4] {
-            assert_eq!(run(shards), serial, "{shards}-shard event run identical");
-        }
-    }
-
-    #[test]
-    fn set_sharding_rejects_impossible_tilings() {
-        let mut n = net(NocConfig::binochs()); // 4 rows
-        assert_eq!(
-            n.set_sharding(5),
-            Err(ShardError::TooManyShards { shards: 5, rows: 4 })
-        );
-        assert_eq!(n.sharding(), 0, "failed request leaves serial stepping");
-        n.set_sharding(4).unwrap();
-        assert_eq!(n.sharding(), 4);
-        n.set_sharding(4).unwrap(); // idempotent
-        assert_eq!(n.sharding(), 4);
-        n.set_dense_stepping(true);
-        assert_eq!(n.sharding(), 0, "dense stepping folds the shards back");
-    }
-
-    #[test]
-    fn injection_wakes_sharded_nis() {
-        let mut n = net(NocConfig::binochs());
-        n.set_sharding(2).unwrap();
-        let src = n.mesh().node_at(1, 3); // bottom band
-        let dst = n.mesh().node_at(2, 0); // top band
-        n.inject(comm(src, dst, 32, 77)).unwrap();
-        drain_in_chunks(&mut n);
-        let pkts = n.drain_ejected(dst);
-        assert_eq!(pkts.len(), 1);
-        assert_eq!(pkts[0].payload, 77);
-        assert_eq!(n.stuck_packets(), 0);
+        let event = run(Stepping::Event);
+        assert_eq!(event.0, 50_000, "event mode lands exactly on the target");
+        assert_eq!(event, run(Stepping::Dense), "event run identical to dense");
     }
 }

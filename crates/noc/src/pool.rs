@@ -11,9 +11,9 @@
 //! so a ref held past its payload's lifetime resolves to `None` instead of
 //! aliasing a recycled slot.
 //!
-//! Allocation and release happen only in serial context (packet injection,
-//! ejection, and the sharded stepper's epilogue), so slot assignment is
-//! deterministic and identical across all stepping modes — and slot
+//! Allocation and release happen only at packet injection, ejection and
+//! fault drops, in the same order in every stepping mode, so slot
+//! assignment is deterministic and identical across modes — and slot
 //! indices never appear in any observable statistic, so pooling cannot
 //! perturb bit-identity.
 

@@ -31,13 +31,13 @@ impl WindowSeries {
         WindowSeries { window, busy_in_window: 0, samples: Vec::new() }
     }
 
-    pub(crate) fn record(&mut self, busy: bool) {
+    fn record(&mut self, busy: bool) {
         if busy {
             self.busy_in_window += 1;
         }
     }
 
-    pub(crate) fn roll(&mut self, end_cycle: u64) {
+    fn roll(&mut self, end_cycle: u64) {
         let utilization = self.busy_in_window as f64 / self.window as f64;
         self.samples.push(SeriesSample { end_cycle, utilization });
         self.busy_in_window = 0;
@@ -186,18 +186,6 @@ impl OccupancyCdf {
         self.saturated
     }
 
-    /// Merges another CDF into this one, bucket-wise. Used to fold
-    /// per-shard occupancy deltas into the network-wide CDF; bucket
-    /// addition commutes, so the merge order cannot change the result.
-    pub fn merge(&mut self, other: &Self) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.dropped += other.dropped;
-        self.saturated += other.saturated;
-    }
-
     /// Cumulative probability that occupancy is `<= pct` percent.
     pub fn cumulative_at(&self, pct: usize) -> f64 {
         if self.total == 0 {
@@ -310,13 +298,6 @@ impl ProtocolErrors {
     pub fn total(&self) -> u64 {
         self.tail_without_head + self.missing_payload + self.duplicate_head
     }
-
-    /// Adds another counter set into this one (per-shard delta merge).
-    pub fn merge(&mut self, other: &Self) {
-        self.tail_without_head += other.tail_without_head;
-        self.missing_payload += other.missing_payload;
-        self.duplicate_head += other.duplicate_head;
-    }
 }
 
 /// Latency and delivery accounting for one traffic class.
@@ -347,17 +328,6 @@ impl ClassStats {
     /// Approximate `p`-th percentile latency (see [`LatencyHistogram`]).
     pub fn latency_percentile(&self, p: f64) -> u64 {
         self.latency_hist.percentile(p)
-    }
-
-    /// Merges another class accumulator into this one. All fields are
-    /// sums, maxima or bucket counts, so the merge commutes — per-shard
-    /// delivery deltas fold into the network totals in any order.
-    pub fn merge(&mut self, other: &Self) {
-        self.delivered += other.delivered;
-        self.flits += other.flits;
-        self.latency_sum += other.latency_sum;
-        self.latency_max = self.latency_max.max(other.latency_max);
-        self.latency_hist.merge(&other.latency_hist);
     }
 }
 
@@ -568,32 +538,6 @@ impl NetStats {
     /// Peak link utilization across all links and windows.
     pub fn peak_link_utilization(&self) -> f64 {
         self.links.iter().map(|s| s.peak()).fold(0.0, f64::max)
-    }
-
-    /// Mutable access to the full per-router crossbar and per-link series
-    /// tables, for the sharded stepping path: each worker takes a disjoint
-    /// `split_at_mut` slice of both (routers and link ids are contiguous
-    /// per tile) and records busy events / rolls windows exactly as
-    /// `record_router_cycle` / `record_link_cycle` / `end_cycle` would.
-    pub(crate) fn series_mut(&mut self) -> (&mut [WindowSeries], &mut [WindowSeries]) {
-        (&mut self.crossbar, &mut self.links)
-    }
-
-    /// Cycles accumulated in the current (incomplete) sampling window.
-    pub(crate) fn cycles_in_window(&self) -> u64 {
-        self.cycles_in_window
-    }
-
-    /// Overwrites the in-window cycle counter (sharded batch epilogue:
-    /// every shard advanced the same number of cycles, so the per-worker
-    /// copies all agree).
-    pub(crate) fn set_cycles_in_window(&mut self, cycles: u64) {
-        self.cycles_in_window = cycles;
-    }
-
-    /// The sampling-window length in cycles.
-    pub(crate) fn sample_window(&self) -> u64 {
-        self.window
     }
 }
 
@@ -977,23 +921,6 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_cdf_merge_adds_bucketwise() {
-        let mut a = OccupancyCdf::new();
-        let mut b = OccupancyCdf::new();
-        a.record(0.25);
-        a.record_zeros(3);
-        b.record(0.25);
-        b.record(0.80);
-        b.record(f64::NAN);
-        a.merge(&b);
-        assert_eq!(a.total_cycles(), 6);
-        assert_eq!(a.dropped_samples(), 1);
-        assert!((a.zero_fraction() - 0.5).abs() < 1e-12);
-        assert!((a.cumulative_at(25) - 5.0 / 6.0).abs() < 1e-12);
-        assert!((a.cumulative_at(80) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn record_zeros_saturates_with_counter_instead_of_wrapping() {
         let mut cdf = OccupancyCdf::new();
         cdf.record_zeros(10);
@@ -1012,42 +939,6 @@ mod tests {
         // u64::MAX-scale jump; the overflow must now fail visibly.
         let mut st = NetStats::new(4096, 0, 10_000);
         st.advance_idle(0, u64::MAX, 4096);
-    }
-
-    #[test]
-    fn class_stats_merge_matches_concatenated_deliveries() {
-        let mut a = ClassStats::default();
-        let mut concat = ClassStats::default();
-        let mut b = ClassStats::default();
-        for lat in [3u64, 9, 120] {
-            a.latency_sum += lat;
-            a.delivered += 1;
-            a.flits += 2;
-            a.latency_max = a.latency_max.max(lat);
-            a.latency_hist.record(lat);
-        }
-        for lat in [1u64, 400] {
-            b.latency_sum += lat;
-            b.delivered += 1;
-            b.flits += 4;
-            b.latency_max = b.latency_max.max(lat);
-            b.latency_hist.record(lat);
-        }
-        for lat in [3u64, 9, 120, 1, 400] {
-            concat.latency_sum += lat;
-            concat.delivered += 1;
-            concat.latency_max = concat.latency_max.max(lat);
-            concat.latency_hist.record(lat);
-        }
-        concat.flits = 14;
-        a.merge(&b);
-        assert_eq!(a.delivered, concat.delivered);
-        assert_eq!(a.flits, concat.flits);
-        assert_eq!(a.latency_sum, concat.latency_sum);
-        assert_eq!(a.latency_max, concat.latency_max);
-        for p in [1.0, 50.0, 99.0] {
-            assert_eq!(a.latency_percentile(p), concat.latency_percentile(p));
-        }
     }
 
     #[test]

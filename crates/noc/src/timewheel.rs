@@ -1,6 +1,6 @@
 //! A deterministic calendar queue for event-driven stepping.
 //!
-//! The simulator's event mode (DESIGN.md §12) advances the clock directly
+//! The simulator's event mode (DESIGN.md §11) advances the clock directly
 //! to the next cycle at which *anything* can happen instead of iterating
 //! dead cycles. Timed wake-ups — fault-plan window edges, CPM watchdog
 //! sweeps, DRAM fetch completions, RCU busy horizons, run-loop deadlines —

@@ -30,12 +30,13 @@
 //! A service run is a pure function of its [`service::ServiceSpec`]: every
 //! scheduling decision is keyed on the platform cycle, seeded RNG streams
 //! and index-ordered iteration — never on host time, hashing order or
-//! thread interleaving. The loop composes with all five stepping modes
-//! (dense, active, event, sharded, event+sharded): clock jumps are capped
-//! at the next service event (pending arrival, abort deadline, drain
-//! deadline), so every mode observes arrivals, dispatches, completions and
-//! aborts at identical cycles and the final report is bit-identical. The
-//! determinism suite proves this for fixed and randomized schedules.
+//! thread interleaving. The loop composes with both stepping modes
+//! ([`Stepping::Dense`], the oracle, and [`Stepping::Event`], the
+//! default): event-mode clock jumps are capped at the next service event
+//! (pending arrival, abort deadline, drain deadline), so both modes
+//! observe arrivals, dispatches, completions and aborts at identical
+//! cycles and the final report is bit-identical. The determinism suite
+//! proves this for fixed and randomized schedules.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,6 +51,7 @@ pub use presets::{decentralized_cpm, fig12_qos, slo_sweep, three_class_demo};
 pub use qos::{AdmissionError, ClassPolicy, QosClass};
 pub use service::{
     run_service, ClassReport, ServiceConfigError, ServiceError, ServiceReport, ServiceSpec,
-    Stepping, TenantReport,
+    TenantReport,
 };
+pub use snacknoc_noc::Stepping;
 pub use tenant::{Arrivals, TenantSpec};

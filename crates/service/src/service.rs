@@ -7,71 +7,11 @@ use snacknoc_compiler::{build, MapperConfig};
 use snacknoc_core::{
     CompiledKernel, CpmState, PlatformConfig, PlatformConfigError, PlatformError, SnackPlatform,
 };
-use snacknoc_noc::{FaultPlan, FaultPlanError, LatencyHistogram, NocConfig};
+use snacknoc_noc::{FaultPlan, FaultPlanError, LatencyHistogram, NocConfig, Stepping};
 use snacknoc_prng::Rng;
 use snacknoc_workloads::BenchmarkProfile;
 use std::collections::VecDeque;
 use std::fmt;
-
-/// Stepping-mode selector: the five modes of the determinism suite. The
-/// service report is bit-identical across all of them for any valid spec.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Stepping {
-    /// Reference dense loop: every router stepped every cycle.
-    Dense,
-    /// Active-set scheduler (the platform default).
-    Active,
-    /// Event-driven time-wheel with clock jumps across idle gaps.
-    Event,
-    /// Sharded mesh stepping (two shards).
-    Sharded,
-    /// Event-driven stepping on a sharded mesh.
-    EventSharded,
-}
-
-impl Stepping {
-    /// All five modes, in the determinism suite's order.
-    pub const ALL: [Stepping; 5] = [
-        Stepping::Dense,
-        Stepping::Active,
-        Stepping::Event,
-        Stepping::Sharded,
-        Stepping::EventSharded,
-    ];
-
-    /// Short stable name (used in reports and JSON).
-    pub fn name(self) -> &'static str {
-        match self {
-            Stepping::Dense => "dense",
-            Stepping::Active => "active",
-            Stepping::Event => "event",
-            Stepping::Sharded => "sharded",
-            Stepping::EventSharded => "event+sharded",
-        }
-    }
-
-    /// Applies the mode to a freshly built platform.
-    pub fn apply(self, p: &mut SnackPlatform) {
-        match self {
-            Stepping::Dense => p.set_dense_stepping(true),
-            Stepping::Active => {}
-            Stepping::Event => p.set_event_stepping(true),
-            Stepping::Sharded => {
-                p.set_sharding(2).expect("two shards fit every preset mesh");
-            }
-            Stepping::EventSharded => {
-                p.set_event_stepping(true);
-                p.set_sharding(2).expect("two shards fit every preset mesh");
-            }
-        }
-    }
-}
-
-impl fmt::Display for Stepping {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Complete description of one service run. A run is a pure function of
 /// its spec: same spec, same report, in every stepping mode.
@@ -95,7 +35,7 @@ pub struct ServiceSpec {
     /// Platform knobs; [`PlatformConfig::kernel_cycle_cap`] is the
     /// service's per-kernel abort deadline.
     pub platform: PlatformConfig,
-    /// Stepping mode.
+    /// Stepping mode; the report is bit-identical in either.
     pub stepping: Stepping,
     /// Master seed: forked per tenant for arrival gaps and kernel inputs.
     pub seed: u64,
@@ -120,7 +60,7 @@ impl ServiceSpec {
             horizon: 40_000,
             drain: 20_000,
             platform: PlatformConfig::default(),
-            stepping: Stepping::Active,
+            stepping: Stepping::default(),
             seed,
             workload: None,
             fault_plan: None,
@@ -432,7 +372,7 @@ struct Job {
 /// event mode one clock jump capped at the next service event. Every
 /// decision is keyed on mode-invariant quantities (completion cycles are
 /// derived from the CPM's writeback cycle, not the observation cycle), so
-/// the report is bit-identical across all five stepping modes.
+/// the report is bit-identical in both stepping modes.
 ///
 /// # Errors
 ///
@@ -443,7 +383,7 @@ pub fn run_service(spec: &ServiceSpec) -> Result<ServiceReport, ServiceError> {
     spec.validate().map_err(ServiceError::Config)?;
     let mut platform = SnackPlatform::with_cpm_count(spec.noc.clone(), spec.cpm_count)
         .map_err(ServiceError::Platform)?;
-    spec.stepping.apply(&mut platform);
+    platform.set_stepping(spec.stepping);
     platform
         .set_platform_config(spec.platform)
         .map_err(|e| ServiceError::Config(ServiceConfigError::Platform(e)))?;
@@ -853,7 +793,7 @@ mod tests {
     }
 
     #[test]
-    fn five_stepping_modes_are_bit_identical_on_the_demo() {
+    fn stepping_modes_are_bit_identical_on_the_demo() {
         let base = three_class_demo(23);
         let mut prints = Vec::new();
         for mode in Stepping::ALL {

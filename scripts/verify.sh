@@ -81,9 +81,9 @@ cargo run --release --offline -q -p snacknoc-bench --bin snack-faults -- \
   --smoke --json "$smoke_json"
 
 # Chaos smoke: randomized permanent+transient fault schedules, every cell
-# run in all five stepping modes; the binary exits non-zero unless every
+# run in both stepping modes; the binary exits non-zero unless every
 # invariant holds (termination with a typed verdict, bit-exact outputs,
-# transient recovery, consistent degradation reports, five-mode
+# transient recovery, consistent degradation reports, dense/event
 # bit-identity) AND at least one cell completed through an actual
 # remap/failover. The greps re-assert the JSON schema from the shell so a
 # silently-broken self-check cannot pass CI.
@@ -95,7 +95,7 @@ grep -q '"invariants_hold": true' "$chaos_json" || {
   exit 1
 }
 grep -q '"modes_agree": true' "$chaos_json" || {
-  echo "ERROR: snack-chaos JSON has no five-mode agreement rows" >&2
+  echo "ERROR: snack-chaos JSON has no mode agreement rows" >&2
   exit 1
 }
 if grep -q '"modes_agree": false' "$chaos_json"; then
@@ -137,9 +137,9 @@ for lane in router rcu cpm; do
 done
 
 # Stepping-mode hot-loop smoke: time Network::step + a closed-loop
-# platform scenario + a kernel under the dense reference loop, the
-# active-set scheduler and the event-driven time-wheel, and demand the
-# stats fingerprints are bit-identical across all three (the binary exits
+# platform scenario + a kernel under the dense reference loop and
+# event-driven stepping, and demand the stats fingerprints are
+# bit-identical across both (the binary exits
 # non-zero on any mismatch; the greps re-assert the identity line and the
 # JSON schema from the shell so a silently-broken self-check cannot pass
 # CI). The event rows must exist, and on the idle mesh the event-driven
@@ -151,11 +151,11 @@ perf_out=$(cargo run --release --offline -q -p snacknoc-bench --bin snack-perf -
   --smoke --json "$perf_json")
 echo "$perf_out"
 echo "$perf_out" | grep -q "^stats-identical: yes" || {
-  echo "ERROR: snack-perf --smoke did not prove event == active == dense stats" >&2
+  echo "ERROR: snack-perf --smoke did not prove event == dense stats" >&2
   exit 1
 }
-grep -q '"schema": "snacknoc-perf-v2"' "$perf_json" || {
-  echo "ERROR: snack-perf JSON is missing the snacknoc-perf-v2 schema tag" >&2
+grep -q '"schema": "snacknoc-perf-v3"' "$perf_json" || {
+  echo "ERROR: snack-perf JSON is missing the snacknoc-perf-v3 schema tag" >&2
   exit 1
 }
 grep -q '"stats_identical": true' "$perf_json" || {
@@ -166,11 +166,11 @@ grep -q '"event_median_ns"' "$perf_json" || {
   echo "ERROR: snack-perf JSON is missing the event-driven timing rows" >&2
   exit 1
 }
-# v2 loaded-path fields (DESIGN.md §16): every step row must carry the
+# Loaded-path fields (DESIGN.md §14): every step row must carry the
 # injected-flit count and the flits/sec throughput figure.
 for field in '"injected_flits":' '"flits_per_sec":'; do
   grep -q "$field" "$perf_json" || {
-    echo "ERROR: snack-perf JSON is missing the v2 field $field" >&2
+    echo "ERROR: snack-perf JSON is missing the field $field" >&2
     exit 1
   }
 done
@@ -186,66 +186,19 @@ awk -v RS='}' '/"name": "idle/ {
 END { if (!found) { print "ERROR: no idle row in snack-perf JSON" > "/dev/stderr"; exit 1 } }' \
   "$perf_json"
 
-# Sharded-stepping rows (DESIGN.md §13): the smoke JSON must carry shard
-# rows with the full schema, and every row's fingerprint check must have
-# passed (byte-identical to the serial baseline at every worker count) —
-# that identity is machine-independent, so it is gated unconditionally.
-for field in '"shard": \[' '"workers":' '"serial_median_ns":' '"shard_speedup":'; do
-  grep -q "$field" "$perf_json" || {
-    echo "ERROR: snack-perf JSON is missing the shard field $field" >&2
-    exit 1
-  }
-done
-awk -v RS='}' '/"workers":/ {
-  rows++
-  if ($0 !~ /"stats_identical": true/) {
-    print "ERROR: a shard row is not bit-identical to serial stepping" > "/dev/stderr"
-    exit 1
-  }
-}
-END { if (!rows) { print "ERROR: no shard rows in snack-perf JSON" > "/dev/stderr"; exit 1 } }' \
-  "$perf_json"
-
-# The committed full capture must show the sharded stepper winning on the
-# saturated 64x64 mesh — but parallel speedup is a property of the
-# capture host, not of the code, so the gate only binds when that capture
-# was taken with spare hardware threads (host_threads >= 2). A
-# single-core CI box can regenerate BENCH_perf.json without tripping it.
-if [ -f BENCH_perf.json ] && grep -q '"shard":' BENCH_perf.json; then
-  awk -v RS='}' '
-    /"host_threads":/ {
-      match($0, /"host_threads": [0-9]+/)
-      split(substr($0, RSTART, RLENGTH), kv, ": ")
-      threads = kv[2] + 0
-    }
-    /"name": "shard\/64x64"/ {
-      match($0, /"shard_speedup": [0-9.]+/)
-      split(substr($0, RSTART, RLENGTH), kv, ": ")
-      if (kv[2] + 0 > best) best = kv[2] + 0
-      found = 1
-    }
-    END {
-      if (!found) { print "ERROR: no 64x64 shard row in BENCH_perf.json" > "/dev/stderr"; exit 1 }
-      if (threads >= 2 && best <= 1.0) {
-        print "ERROR: 64x64 shard speedup " best " did not beat serial stepping on a " \
-              threads "-thread capture host" > "/dev/stderr"
-        exit 1
-      }
-      printf "shard gate: 64x64 best speedup %.3fx (capture host: %d thread(s))\n", best, threads
-    }' BENCH_perf.json
-fi
-
-# Loaded-path gates on the committed full capture (DESIGN.md §16): the
-# v2 schema, a saturation/32x32 scaling row, stats_identical on *every*
-# row (step, shard and kernel alike — a single false bit means a
-# stepping mode diverged from the dense oracle), and the saturation
-# 16x16 active median beating the committed pre-PR capture
+# Loaded-path gates on the committed full capture (DESIGN.md §14): the
+# v3 schema, a saturation/32x32 scaling row, stats_identical on *every*
+# row (step and kernel alike — a single false bit means event stepping
+# diverged from the dense oracle), and the saturation 16x16 event median
+# beating the capture committed before the data-layout overhaul
 # (EXPERIMENTS.md "Simulator performance": 1 561 807 930 ns on the same
-# container class; the PR-10 data-layout work targets >= 1.5x, the gate
-# keeps margin for slower hosts).
+# container class, measured in the since-removed active mode; a
+# saturated network never goes quiescent, so event mode runs the same
+# per-cycle code; the overhaul targets >= 1.5x, the gate keeps margin
+# for slower hosts).
 if [ -f BENCH_perf.json ]; then
-  grep -q '"schema": "snacknoc-perf-v2"' BENCH_perf.json || {
-    echo "ERROR: committed BENCH_perf.json is not a snacknoc-perf-v2 capture" >&2
+  grep -q '"schema": "snacknoc-perf-v3"' BENCH_perf.json || {
+    echo "ERROR: committed BENCH_perf.json is not a snacknoc-perf-v3 capture" >&2
     exit 1
   }
   grep -q '"name": "saturation/32x32"' BENCH_perf.json || {
@@ -257,11 +210,11 @@ if [ -f BENCH_perf.json ]; then
     exit 1
   fi
   awk -v RS='}' -v pre_pr_ns=1561807930 '/"name": "saturation\/16x16"/ {
-    match($0, /"active_median_ns": [0-9]+/)
+    match($0, /"event_median_ns": [0-9]+/)
     split(substr($0, RSTART, RLENGTH), kv, ": ")
     speedup = pre_pr_ns / (kv[2] + 0)
     if (speedup < 1.2) {
-      print "ERROR: saturation/16x16 active median " kv[2] " ns is only " \
+      print "ERROR: saturation/16x16 event median " kv[2] " ns is only " \
             speedup "x over the pre-PR baseline (need >= 1.2x)" > "/dev/stderr"
       exit 1
     }
@@ -272,9 +225,9 @@ if [ -f BENCH_perf.json ]; then
     BENCH_perf.json
 fi
 
-# Service smoke (DESIGN.md §15): the multi-tenant SLO sweep at three
-# load levels, every level in all five stepping modes; the binary exits
-# non-zero unless every level is violation-free and five-mode
+# Service smoke (DESIGN.md §13): the multi-tenant SLO sweep at three
+# load levels, every level in both stepping modes; the binary exits
+# non-zero unless every level is violation-free and dense/event
 # bit-identical, Guaranteed p99 < BestEffort p99 at peak, and the peak
 # level tripped admission control. The greps re-assert the JSON schema
 # from the shell so a silently-broken self-check cannot pass CI.
@@ -304,7 +257,7 @@ if grep -q '"modes_identical": false' "$service_json"; then
   exit 1
 fi
 grep -q '"modes_identical": true' "$service_json" || {
-  echo "ERROR: snack-service JSON has no five-mode identity rows" >&2
+  echo "ERROR: snack-service JSON has no mode identity rows" >&2
   exit 1
 }
 # Peak rejections must be nonzero and every fairness index in [0, 1].

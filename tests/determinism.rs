@@ -6,29 +6,11 @@
 
 use snacknoc::compiler::{build, MapperConfig};
 use snacknoc::core::SnackPlatform;
-use snacknoc::noc::{NocConfig, NocPreset, TrafficClass};
+use snacknoc::noc::{NocConfig, NocPreset, Stepping, TrafficClass};
 use snacknoc::workloads::kernels::Kernel;
 use snacknoc::workloads::suite::{profile, Benchmark};
 use snacknoc_bench::faults::{run_fault_sweep, FaultScenario, FaultSweepSpec};
 use snacknoc_bench::sweep::{run_sweep, SweepSpec};
-
-/// Applies stepping mode `0` (dense reference loop, DESIGN.md §11),
-/// `1` (activity-driven scheduling, the default), `2` (event-driven
-/// time-wheel jumps, DESIGN.md §12), `3` (sharded worker threads,
-/// DESIGN.md §13, two shards) or `4` (event + sharded) to a platform.
-fn apply_mode(p: &mut SnackPlatform, mode: u8) {
-    match mode {
-        0 => p.set_dense_stepping(true),
-        1 => {}
-        2 => p.set_event_stepping(true),
-        3 => p.set_sharding(2).expect("two shards fit the mesh"),
-        4 => {
-            p.set_event_stepping(true);
-            p.set_sharding(2).expect("two shards fit the mesh");
-        }
-        _ => unreachable!("modes are 0..=4"),
-    }
-}
 
 /// A fingerprint of a multi-program run produced under an arbitrary
 /// platform setup. All stepping modes must be bit-identical.
@@ -57,15 +39,15 @@ fn fingerprint_with(seed: u64, setup: impl FnOnce(&mut SnackPlatform)) -> (u64, 
 }
 
 /// A fingerprint of a multi-program run that any nondeterminism would
-/// perturb. `mode` selects the stepping mode (see [`apply_mode`]); all
-/// modes must be bit-identical.
-fn fingerprint_stepping(seed: u64, mode: u8) -> (u64, u64, f64, u64, u64) {
-    fingerprint_with(seed, |p| apply_mode(p, mode))
+/// perturb, under the given stepping mode; both modes must be
+/// bit-identical.
+fn fingerprint_stepping(seed: u64, mode: Stepping) -> (u64, u64, f64, u64, u64) {
+    fingerprint_with(seed, |p| p.set_stepping(mode))
 }
 
-/// Default-mode fingerprint (activity-driven stepping).
+/// Default-mode fingerprint (event stepping).
 fn fingerprint(seed: u64) -> (u64, u64, f64, u64, u64) {
-    fingerprint_stepping(seed, 1)
+    fingerprint_with(seed, |_| {})
 }
 
 #[test]
@@ -248,51 +230,18 @@ fn ring_traced_kernel_matches_untraced_kernel() {
     }
 }
 
-/// Active-set scheduling, part 1: the activity-driven hot loop (the
-/// default) is a pure wall-clock optimization. A full multi-program run —
-/// kernel + background workload + priority arbitration — produces a
-/// bit-identical fingerprint under `dense_stepping`, which visits every
-/// router, NI and RCU each cycle (DESIGN.md §11).
+/// Active-set scheduling, part 1: event stepping (the default) is a pure
+/// wall-clock optimization. A full multi-program run — kernel +
+/// background workload + priority arbitration — produces a bit-identical
+/// fingerprint under `Stepping::Dense`, which visits every router, NI and
+/// RCU each cycle (DESIGN.md §11).
 #[test]
 fn active_set_multiprogram_is_bit_identical_to_dense() {
     for seed in [41, 42, 1009] {
-        let dense = fingerprint_stepping(seed, 0);
-        let active = fingerprint_stepping(seed, 1);
-        let event = fingerprint_stepping(seed, 2);
         assert_eq!(
-            active, dense,
-            "seed {seed}: active-set stepping must match dense stepping bit-for-bit"
-        );
-        assert_eq!(
-            event, dense,
-            "seed {seed}: event-driven stepping must match dense stepping bit-for-bit"
-        );
-        assert_eq!(
-            fingerprint_stepping(seed, 3),
-            dense,
-            "seed {seed}: sharded stepping must match dense stepping bit-for-bit"
-        );
-        assert_eq!(
-            fingerprint_stepping(seed, 4),
-            dense,
-            "seed {seed}: event+sharded stepping must match dense stepping bit-for-bit"
-        );
-    }
-}
-
-/// Active-set scheduling, part 1b: the sharded worker-thread stepper
-/// (DESIGN.md §13) is bit-identical to dense at *every* legal shard
-/// count, not just the two-shard split the matrix above uses — worker
-/// count is a pure wall-clock knob, exactly like the sweep pool's.
-#[test]
-fn sharded_multiprogram_is_shard_count_invariant() {
-    let dense = fingerprint_stepping(41, 0);
-    for shards in [1, 2, 4] {
-        let sharded =
-            fingerprint_with(41, |p| p.set_sharding(shards).expect("shards fit the mesh"));
-        assert_eq!(
-            sharded, dense,
-            "{shards}-shard multiprogram run must match dense bit-for-bit"
+            fingerprint_stepping(seed, Stepping::Event),
+            fingerprint_stepping(seed, Stepping::Dense),
+            "seed {seed}: event stepping must match dense stepping bit-for-bit"
         );
     }
 }
@@ -310,9 +259,9 @@ fn active_set_matches_dense_under_fault_plan() {
     use snacknoc_bench::perf::stats_fingerprint;
 
     let built = build(Kernel::Reduction, 48, 9);
-    let run_mode = |mode: u8| {
+    let run_mode = |mode: Stepping| {
         let mut p = SnackPlatform::new(NocConfig::default()).expect("valid platform");
-        apply_mode(&mut p, mode);
+        p.set_stepping(mode);
         // MAC fusion off: intermediate values travel the transient ring,
         // which the fault plan targets.
         let mapper = MapperConfig::for_mesh(p.mesh()).with_mac_fusion(false);
@@ -347,48 +296,33 @@ fn active_set_matches_dense_under_fault_plan() {
             stats_fingerprint(injected, delivered, 0, p.finalize_stats()),
         )
     };
-    let dense = run_mode(0);
-    let active = run_mode(1);
-    let event = run_mode(2);
+    let dense = run_mode(Stepping::Dense);
     assert_eq!(
-        active, dense,
-        "faulted kernel run must be bit-identical across stepping modes"
-    );
-    assert_eq!(
-        event, dense,
+        run_mode(Stepping::Event),
+        dense,
         "event-driven faulted kernel run must be bit-identical to dense"
     );
-    assert_eq!(
-        run_mode(3),
-        dense,
-        "sharded faulted kernel run must be bit-identical to dense"
-    );
-    assert_eq!(
-        run_mode(4),
-        dense,
-        "event+sharded faulted kernel run must be bit-identical to dense"
-    );
-    assert!(active.contains("rcu="), "fingerprint is non-trivial");
+    assert!(dense.contains("rcu="), "fingerprint is non-trivial");
 }
 
 /// Graceful degradation, part 1: a kernel that must *remap* (an RCU dies
 /// under it mid-run) and *fail over* (its home-CPM corner is dead at
-/// submission) completes bit-identically in every stepping mode and at
-/// every legal shard count — including the degradation report itself.
+/// submission) completes bit-identically in both stepping modes —
+/// including the degradation report itself.
 /// This pins the hairiest new scheduling corners: the abort/quarantine
 /// path, the namespace-epoch bump, and the escalation deadline (which
 /// event-mode jumps must land on exactly).
 #[test]
-fn remap_and_failover_are_bit_identical_across_modes_and_shards() {
+fn remap_and_failover_are_bit_identical_across_modes() {
     use snacknoc::core::{PlatformConfig, RecoveryConfig};
     use snacknoc::noc::FaultPlan;
     use snacknoc_bench::perf::stats_fingerprint;
 
     let built = build(Kernel::Reduction, 48, 9);
-    let run_with = |setup: &dyn Fn(&mut SnackPlatform)| {
+    let run_mode = |mode: Stepping| {
         let mut p = SnackPlatform::with_cpm_count(NocConfig::default(), 4)
             .expect("valid platform");
-        setup(&mut p);
+        p.set_stepping(mode);
         let mapper = MapperConfig::for_mesh(p.mesh()).with_mac_fusion(false);
         let kernel = built.context.compile(built.root, &mapper).expect("compiles");
         let home = p.cpm_at(0).node();
@@ -426,26 +360,16 @@ fn remap_and_failover_are_bit_identical_across_modes_and_shards() {
             stats_fingerprint(injected, delivered, 0, p.finalize_stats()),
         )
     };
-    let dense = run_with(&|p| apply_mode(p, 0));
-    for mode in 1u8..=4 {
-        assert_eq!(
-            run_with(&|p| apply_mode(p, mode)),
-            dense,
-            "mode {mode}: remap/failover run must be bit-identical to dense"
-        );
-    }
-    for shards in [1usize, 4] {
-        assert_eq!(
-            run_with(&move |p| p.set_sharding(shards).expect("shards fit the mesh")),
-            dense,
-            "{shards}-shard remap/failover run must be bit-identical to dense"
-        );
-    }
+    assert_eq!(
+        run_mode(Stepping::Event),
+        run_mode(Stepping::Dense),
+        "event-mode remap/failover run must be bit-identical to dense"
+    );
 }
 
 /// Graceful degradation, part 2: the chaos grid — randomized permanent +
-/// transient schedules, each cell already spanning all five stepping
-/// modes internally — merges to identical bytes on 1 and 4 workers, with
+/// transient schedules, each cell already spanning both stepping modes
+/// internally — merges to identical bytes on 1 and 4 workers, with
 /// every invariant intact.
 #[test]
 fn chaos_grid_reports_are_worker_count_invariant() {
@@ -465,21 +389,19 @@ fn chaos_grid_reports_are_worker_count_invariant() {
     );
     assert!(
         serial.cells.iter().all(|c| c.modes_agree),
-        "every cell is five-mode bit-identical"
+        "every cell is bit-identical across stepping modes"
     );
 }
 
 /// Active-set scheduling, part 3: mode choice composes with the worker
-/// pool. A grid of {dense, active, event, sharded, event+sharded} x
-/// seeds fingerprinted on 1 worker and on 4 workers merges to the same
-/// bytes, and within the merged vector every mode quintet agrees per
-/// seed. The sharded rows nest the shard worker threads *inside* the
-/// sweep pool's workers — the two thread layers must not interact.
+/// pool. A grid of {dense, event} x seeds fingerprinted on 1 worker and
+/// on 4 workers merges to the same bytes, and within the merged vector
+/// both modes agree per seed.
 #[test]
 fn active_vs_dense_fingerprints_are_worker_count_invariant() {
     use snacknoc_bench::sweep::parallel_map;
-    let grid: Vec<(u64, u8)> =
-        [7u64, 8, 9].iter().flat_map(|&s| [(s, 0u8), (s, 1), (s, 2), (s, 3), (s, 4)]).collect();
+    let grid: Vec<(u64, Stepping)> =
+        [7u64, 8, 9].iter().flat_map(|&s| Stepping::ALL.map(|m| (s, m))).collect();
     let job = |i: usize| {
         let (seed, mode) = grid[i];
         format!("{:?}", fingerprint_stepping(seed, mode))
@@ -487,11 +409,8 @@ fn active_vs_dense_fingerprints_are_worker_count_invariant() {
     let serial = parallel_map(grid.len(), 1, job);
     let parallel = parallel_map(grid.len(), 4, job);
     assert_eq!(serial, parallel, "1-vs-4 workers must merge identically");
-    for quintet in serial.chunks(5) {
-        assert_eq!(quintet[0], quintet[1], "dense and active twins agree per seed");
-        assert_eq!(quintet[0], quintet[2], "dense and event twins agree per seed");
-        assert_eq!(quintet[0], quintet[3], "dense and sharded twins agree per seed");
-        assert_eq!(quintet[0], quintet[4], "dense and event+sharded twins agree per seed");
+    for pair in serial.chunks(Stepping::ALL.len()) {
+        assert_eq!(pair[0], pair[1], "dense and event twins agree per seed");
     }
 }
 
@@ -499,13 +418,13 @@ fn active_vs_dense_fingerprints_are_worker_count_invariant() {
 /// fixed service schedule (the SLO-sweep preset at two load levels, plus
 /// the fault-tolerant decentralized preset) produces a bit-identical
 /// report — every admission verdict, dispatch, completion cycle and
-/// latency percentile — in all five modes, whether the grid runs on one
+/// latency percentile — in both modes, whether the grid runs on one
 /// sweep worker or four. Event-mode clock jumps are capped at the next
 /// service event (pending arrival, abort deadline), which is exactly the
 /// property this matrix proves.
 #[test]
 fn service_reports_are_mode_and_worker_count_invariant() {
-    use snacknoc::service::{decentralized_cpm, run_service, slo_sweep, Stepping};
+    use snacknoc::service::{decentralized_cpm, run_service, slo_sweep};
     use snacknoc_bench::sweep::parallel_map;
 
     let specs = [slo_sweep(70, 41), slo_sweep(170, 41), decentralized_cpm(3, 42)];
@@ -522,11 +441,11 @@ fn service_reports_are_mode_and_worker_count_invariant() {
     let serial = parallel_map(grid.len(), 1, job);
     let parallel = parallel_map(grid.len(), 4, job);
     assert_eq!(serial, parallel, "1-vs-4 workers must merge identically");
-    for (s, quintet) in serial.chunks(5).enumerate() {
-        for (m, fp) in quintet.iter().enumerate() {
+    for (s, modes) in serial.chunks(Stepping::ALL.len()).enumerate() {
+        for (m, fp) in modes.iter().enumerate() {
             assert_eq!(
                 *fp,
-                quintet[0],
+                modes[0],
                 "service spec {s}: {} diverged from dense",
                 Stepping::ALL[m]
             );

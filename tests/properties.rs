@@ -8,7 +8,7 @@
 
 use snacknoc::compiler::{Context, MapperConfig, Res};
 use snacknoc::core::SnackPlatform;
-use snacknoc::noc::{Mesh, Network, NocConfig, NodeId, PacketSpec, TrafficClass};
+use snacknoc::noc::{Mesh, Network, NocConfig, NodeId, PacketSpec, Stepping, TrafficClass};
 use snacknoc_prng::{prop_check, Rng};
 
 /// Generator: a small mesh with at least one even side (ring exists).
@@ -356,13 +356,14 @@ fn workload_trace_csv_round_trip_is_identity() {
     });
 }
 
-/// Activity-driven stepping is bit-identical to dense stepping on *random*
-/// workloads: any mesh shape, any vnet mix, any packet sizes, any injection
-/// schedule, and an optional random transient link fault. The full
-/// network-stats fingerprint (occupancy series, utilizations, latency
-/// percentiles, per-class counters) must match — the active-set scheduler
-/// may only change *when routers are visited*, never what they compute
-/// (DESIGN.md §11).
+/// Activity-driven (event-mode) stepping is bit-identical to dense stepping
+/// on *random* workloads: any mesh shape, any vnet mix, any packet sizes,
+/// any injection schedule, and an optional random transient link fault.
+/// The driver calls `step` every cycle, so this isolates the worklists from
+/// the clock jumps. The full network-stats fingerprint (occupancy series,
+/// utilizations, latency percentiles, per-class counters) must match — the
+/// active-set worklists may only change *when routers are visited*, never
+/// what they compute (DESIGN.md §11).
 #[test]
 fn random_workloads_step_identically_active_and_dense() {
     use snacknoc::noc::{Dir, FaultPlan, LinkFaultKind};
@@ -414,9 +415,9 @@ fn random_workloads_step_identically_active_and_dense() {
             None
         };
 
-        let run_mode = |dense: bool| {
+        let run_mode = |mode: Stepping| {
             let mut net: Network<usize> = Network::new(cfg.clone()).unwrap();
-            net.set_dense_stepping(dense);
+            net.set_stepping(mode);
             if let Some((node, dir, start, end, kind, fseed)) = fault {
                 net.set_fault_plan(
                     FaultPlan::seeded(fseed).with_link_fault(node, dir, start, end, kind),
@@ -457,10 +458,10 @@ fn random_workloads_step_identically_active_and_dense() {
                 stats_fingerprint(injected, delivered, pending, net.finalize_stats()),
             )
         };
-        let active = run_mode(false);
-        let dense = run_mode(true);
+        let event = run_mode(Stepping::Event);
+        let dense = run_mode(Stepping::Dense);
         assert_eq!(
-            active, dense,
+            event, dense,
             "{cols}x{rows} mesh, {} packets, fault={fault:?}: \
              active-set and dense stepping must be bit-identical",
             schedule.len()
@@ -468,15 +469,13 @@ fn random_workloads_step_identically_active_and_dense() {
     });
 }
 
-/// Event-driven time-wheel stepping (DESIGN.md §12) *and* sharded
-/// worker-thread stepping (DESIGN.md §13, at a random legal shard count,
-/// alone and composed with event jumps) are bit-identical to dense
-/// stepping on random meshes with random traffic bursts separated by
-/// long dead gaps, under random *short-window* fault plans. The idle
-/// gaps are where event mode jumps, every fault-window edge is a
-/// calendar event a jump must land on, and the fault verdicts are
-/// hash-derived per flit — a single missed edge or misordered boundary
-/// exchange shifts the drop/corrupt schedule and breaks the fingerprint.
+/// Event-driven time-wheel stepping (DESIGN.md §11) is bit-identical to
+/// dense stepping on random meshes with random traffic bursts separated by
+/// long dead gaps, under random *short-window* fault plans. The idle gaps
+/// are where event mode jumps, every fault-window edge is a calendar event
+/// a jump must land on, and the fault verdicts are hash-derived per flit —
+/// a single missed edge shifts the drop/corrupt schedule and breaks the
+/// fingerprint.
 #[test]
 fn random_short_window_fault_plans_step_identically_event_and_dense() {
     use snacknoc::noc::{Dir, FaultPlan, LinkFaultKind};
@@ -533,22 +532,9 @@ fn random_short_window_fault_plans_step_identically_event_and_dense() {
             plan = plan.with_link_fault(node, dir, start, end, kind);
         }
 
-        // A random legal shard count for the sharded modes (bands must
-        // each span at least one mesh row).
-        let shards = 1 + rng.range_usize(0..rows as usize);
-
-        let run_mode = |mode: u8| {
+        let run_mode = |mode: Stepping| {
             let mut net: Network<usize> = Network::new(cfg.clone()).unwrap();
-            match mode {
-                0 => net.set_dense_stepping(true),
-                1 => {}
-                2 => net.set_event_stepping(true),
-                3 => net.set_sharding(shards).unwrap(),
-                _ => {
-                    net.set_event_stepping(true);
-                    net.set_sharding(shards).unwrap();
-                }
-            }
+            net.set_stepping(mode);
             net.set_fault_plan(plan.clone()).unwrap();
             let mut tag = 0usize;
             for (cycle, packets) in &bursts {
@@ -581,41 +567,22 @@ fn random_short_window_fault_plans_step_identically_event_and_dense() {
                 ),
             )
         };
-        let dense = run_mode(0);
-        let active = run_mode(1);
-        let event = run_mode(2);
         assert_eq!(
-            active, dense,
-            "{cols}x{rows} mesh, horizon {horizon}: active diverged from dense"
-        );
-        assert_eq!(
-            event, dense,
+            run_mode(Stepping::Event),
+            run_mode(Stepping::Dense),
             "{cols}x{rows} mesh, horizon {horizon}: event diverged from dense"
-        );
-        assert_eq!(
-            run_mode(3),
-            dense,
-            "{cols}x{rows} mesh, {shards} shards, horizon {horizon}: sharded diverged from dense"
-        );
-        assert_eq!(
-            run_mode(4),
-            dense,
-            "{cols}x{rows} mesh, {shards} shards, horizon {horizon}: \
-             event+sharded diverged from dense"
         );
     });
 }
 
-/// The pooled payload slab (DESIGN.md §16) is invisible to every
+/// The pooled payload slab (DESIGN.md §14) is invisible to every
 /// observable: on random meshes with random multi-flit traffic and random
-/// fault plans, all five stepping modes (dense oracle, active, event,
-/// sharded at a random shard count, event+sharded) deliver bit-identical
-/// payload contents and per-packet metadata — delivered cycle, hop count,
-/// corruption mark — and identical stats. Once the network drains, every
-/// slot has been returned to the pool (delivered payloads are moved out,
-/// dropped packets' payloads are released), with the same high-water mark
-/// and demand-growth count in every mode: slot recycling is deterministic
-/// even across the sharded mailbox boundary.
+/// fault plans, both stepping modes deliver bit-identical payload contents
+/// and per-packet metadata — delivered cycle, hop count, corruption mark —
+/// and identical stats. Once the network drains, every slot has been
+/// returned to the pool (delivered payloads are moved out, dropped
+/// packets' payloads are released), with the same high-water mark and
+/// demand-growth count in both modes: slot recycling is deterministic.
 #[test]
 fn pooled_payloads_are_bit_identical_across_modes_and_leak_free() {
     use snacknoc::noc::{Dir, FaultPlan, LinkFaultKind};
@@ -667,20 +634,9 @@ fn pooled_payloads_are_bit_identical_across_modes_and_leak_free() {
             plan = plan.with_link_fault(node, dir, start, end, kind);
         }
 
-        let shards = 1 + rng.range_usize(0..rows as usize);
-
-        let run_mode = |mode: u8| {
+        let run_mode = |mode: Stepping| {
             let mut net: Network<usize> = Network::new(cfg.clone()).unwrap();
-            match mode {
-                0 => net.set_dense_stepping(true),
-                1 => {}
-                2 => net.set_event_stepping(true),
-                3 => net.set_sharding(shards).unwrap(),
-                _ => {
-                    net.set_event_stepping(true);
-                    net.set_sharding(shards).unwrap();
-                }
-            }
+            net.set_stepping(mode);
             net.set_fault_plan(plan.clone()).unwrap();
             for &(cycle, src, dst, vnet, bytes, tag) in &schedule {
                 net.step_until(cycle);
@@ -722,15 +678,11 @@ fn pooled_payloads_are_bit_identical_across_modes_and_leak_free() {
                 ),
             )
         };
-        let dense = run_mode(0);
-        for mode in 1u8..=4 {
-            assert_eq!(
-                run_mode(mode),
-                dense,
-                "{cols}x{rows} mesh, {shards} shards: mode {mode} pooled \
-                 payloads diverged from dense"
-            );
-        }
+        assert_eq!(
+            run_mode(Stepping::Event),
+            run_mode(Stepping::Dense),
+            "{cols}x{rows} mesh: event-mode pooled payloads diverged from dense"
+        );
     });
 }
 
@@ -760,19 +712,10 @@ fn random_chaos_schedules_degrade_identically_in_every_mode() {
             let probe = SnackPlatform::new(cfg.clone()).expect("valid platform");
             chaos_schedule(probe.mesh(), seed)
         };
-        let run_mode = |mode: u8| {
+        let run_mode = |mode: Stepping| {
             let mut p = SnackPlatform::with_cpm_count(cfg.clone(), sched.cpm_count)
                 .expect("valid platform");
-            match mode {
-                0 => p.set_dense_stepping(true),
-                1 => {}
-                2 => p.set_event_stepping(true),
-                3 => p.set_sharding(2).expect("two shards fit"),
-                _ => {
-                    p.set_event_stepping(true);
-                    p.set_sharding(2).expect("two shards fit");
-                }
-            }
+            p.set_stepping(mode);
             let mapper = MapperConfig::for_mesh(p.mesh()).with_mac_fusion(false);
             let compiled = built.context.compile(built.root, &mapper).expect("compiles");
             p.set_fault_plan(sched.plan.clone()).expect("valid plan");
@@ -813,14 +756,11 @@ fn random_chaos_schedules_degrade_identically_in_every_mode() {
                 ),
             )
         };
-        let dense = run_mode(0);
-        for mode in 1u8..=4 {
-            assert_eq!(
-                run_mode(mode),
-                dense,
-                "{kernel}-{size}/s{seed}: mode {mode} diverged from dense under chaos"
-            );
-        }
+        assert_eq!(
+            run_mode(Stepping::Event),
+            run_mode(Stepping::Dense),
+            "{kernel}-{size}/s{seed}: event mode diverged from dense under chaos"
+        );
     });
 }
 
@@ -828,13 +768,13 @@ fn random_chaos_schedules_degrade_identically_in_every_mode() {
 /// for any tenant mix (class, kernel, arrival process), queue policy and
 /// CPM count, the service report's fingerprint — every admission verdict,
 /// completion count and latency percentile — is identical between the
-/// default active-set loop and a randomly chosen other stepping mode, and
-/// its conservation invariants hold (submitted = admitted + rejected,
+/// default event-mode loop and the dense oracle, and its conservation
+/// invariants hold (submitted = admitted + rejected,
 /// admitted = completed + aborted + residual).
 #[test]
 fn service_schedules_are_mode_invariant() {
     use snacknoc::service::{
-        run_service, Arrivals, ClassPolicy, QosClass, ServiceSpec, Stepping, TenantSpec,
+        run_service, Arrivals, ClassPolicy, QosClass, ServiceSpec, TenantSpec,
     };
     use snacknoc::workloads::kernels::Kernel;
 
@@ -875,14 +815,12 @@ fn service_schedules_are_mode_invariant() {
             assert_eq!(t.admitted, t.completed + t.aborted + t.residual, "{}", t.name);
         }
 
-        let other = [Stepping::Dense, Stepping::Event, Stepping::Sharded, Stepping::EventSharded]
-            [rng.range_usize(0..4)];
-        spec.stepping = other;
+        spec.stepping = Stepping::Dense;
         let twin = run_service(&spec).expect("generated specs are valid");
         assert_eq!(
             reference.fingerprint(),
             twin.fingerprint(),
-            "active vs {other} diverged for {n} tenants"
+            "event vs dense diverged for {n} tenants"
         );
     });
 }
