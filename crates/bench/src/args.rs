@@ -128,6 +128,12 @@ impl CliArgs {
         self.parsed_or(name, default)
     }
 
+    /// `--threads`, defaulting to the host's available parallelism.
+    pub fn threads(&self) -> usize {
+        let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        self.parsed_or("threads", host)
+    }
+
     fn parsed_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
         match self.str_opt(name) {
             None => default,
@@ -140,6 +146,30 @@ impl CliArgs {
         eprintln!("error: {msg}");
         eprintln!("{}", self.usage);
         std::process::exit(2);
+    }
+}
+
+/// Writes `contents` to the file at `path`, ending it with a newline.
+/// The error names the path.
+///
+/// # Errors
+///
+/// Returns `cannot write <path>: <io error>` if the file cannot be
+/// created or written.
+pub fn write_output(path: &str, contents: impl std::fmt::Display) -> Result<(), String> {
+    let mut text = contents.to_string();
+    if !text.ends_with('\n') {
+        text.push('\n');
+    }
+    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// [`write_output`], printing the error and exiting 1 on failure: how
+/// every `snack-*` binary writes its output.
+pub fn write_or_exit(path: &str, contents: impl std::fmt::Display) {
+    if let Err(e) = write_output(path, contents) {
+        eprintln!("error: {e}");
+        std::process::exit(1);
     }
 }
 
@@ -184,5 +214,22 @@ mod tests {
         let a = parse(&["--size", "3", "--size", "9"]).unwrap();
         assert_eq!(a.u64_or("size", 0), 9);
         assert_eq!(a.f64_or("missing", 1.5), 1.5);
+    }
+
+    #[test]
+    fn threads_defaults_to_the_host_and_parses_the_flag() {
+        let parse_threads =
+            |args: &[&str]| CliArgs::parse_from(args.iter().copied(), USAGE, &["threads"], &[]);
+        assert_eq!(parse_threads(&["--threads", "3"]).unwrap().threads(), 3);
+        let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        assert_eq!(parse_threads(&[]).unwrap().threads(), host);
+    }
+
+    #[test]
+    fn write_output_reports_an_unwritable_path() {
+        let dir = std::env::temp_dir();
+        let path = dir.to_str().expect("temp dir is UTF-8");
+        let err = write_output(path, "{}").expect_err("a directory is not writable as a file");
+        assert!(err.starts_with(&format!("cannot write {path}: ")), "{err}");
     }
 }

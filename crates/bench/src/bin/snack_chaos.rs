@@ -22,7 +22,7 @@
 //! *through* graceful degradation (a remap or failover actually fired) —
 //! CI uses this via `scripts/verify.sh`.
 
-use snacknoc_bench::args::CliArgs;
+use snacknoc_bench::args::{write_or_exit, CliArgs};
 use snacknoc_bench::chaos::{run_chaos, ChaosSpec};
 use snacknoc_noc::Stepping;
 use snacknoc_workloads::kernels::Kernel;
@@ -58,10 +58,7 @@ fn main() {
     );
     let smoke = args.switch("smoke");
     let json_path = args.str_or("json", "BENCH_chaos.json");
-    let threads = args.u64_or(
-        "threads",
-        std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
-    ) as usize;
+    let threads = args.threads();
 
     let spec = if smoke {
         ChaosSpec::grid(&[Kernel::Mac, Kernel::Spmv], 8, &[1, 2, 3, 4, 5, 6])
@@ -83,8 +80,7 @@ fn main() {
     let results = run_chaos(&spec);
     results.print_table();
 
-    let file = std::fs::File::create(&json_path).expect("create JSON report");
-    results.write_json(std::io::BufWriter::new(file)).expect("write JSON report");
+    write_or_exit(&json_path, results.to_json());
     println!("json: {json_path}");
 
     let degraded = results.degraded_completions();

@@ -21,7 +21,7 @@
 //! size) and exits non-zero unless every cell is consistent — CI uses
 //! this via `scripts/verify.sh`.
 
-use snacknoc_bench::args::CliArgs;
+use snacknoc_bench::args::{write_or_exit, CliArgs};
 use snacknoc_bench::faults::{run_fault_sweep, FaultScenario, FaultSweepSpec};
 use snacknoc_workloads::kernels::Kernel;
 
@@ -97,10 +97,7 @@ fn main() {
     );
     let smoke = args.switch("smoke");
     let json_path = args.str_or("json", "BENCH_faults.json");
-    let threads = args.u64_or(
-        "threads",
-        std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
-    ) as usize;
+    let threads = args.threads();
 
     let spec = if smoke {
         FaultSweepSpec::grid(
@@ -133,8 +130,7 @@ fn main() {
     let results = run_fault_sweep(&spec);
     results.print_table();
 
-    let file = std::fs::File::create(&json_path).expect("create JSON report");
-    results.write_json(std::io::BufWriter::new(file)).expect("write JSON report");
+    write_or_exit(&json_path, results.to_json());
     println!("json: {json_path}");
 
     if !results.all_consistent() {

@@ -21,9 +21,9 @@
 
 #![deny(clippy::unwrap_used)]
 
-use snacknoc_bench::args::CliArgs;
+use snacknoc_bench::args::{write_or_exit, CliArgs};
 use snacknoc_bench::perf::{
-    default_step_scenarios, host_threads, smoke_step_scenarios, time_closed_loop, time_kernel,
+    default_step_scenarios, smoke_step_scenarios, time_closed_loop, time_kernel,
     time_step_scenario, PerfReport,
 };
 use snacknoc_workloads::kernels::Kernel;
@@ -38,6 +38,7 @@ fn main() {
     let samples = args.u64_or("samples", if smoke { 3 } else { 9 }).max(1) as u32;
     let seed = args.u64_or("seed", 42);
     let kernel_size = args.u64_or("kernel-size", if smoke { 10 } else { 24 }) as usize;
+    let host_threads = args.threads();
 
     let scenarios = if smoke { smoke_step_scenarios() } else { default_step_scenarios() };
     let kernels = if smoke {
@@ -52,17 +53,16 @@ fn main() {
         scenarios.len(),
         kernels.len(),
         if smoke { " [smoke]" } else { "" },
-        host_threads(),
+        host_threads,
     );
     let mut step: Vec<_> = scenarios.iter().map(|s| time_step_scenario(s, samples)).collect();
     step.push(time_closed_loop(if smoke { 20_000 } else { 200_000 }, samples));
     let kernel_results =
         kernels.iter().map(|&k| time_kernel(k, kernel_size, seed, samples)).collect();
-    let report = PerfReport { step, kernels: kernel_results };
+    let report = PerfReport { host_threads, step, kernels: kernel_results };
     report.print_tables();
 
-    let file = std::fs::File::create(&json_path).expect("create JSON report");
-    report.write_json(std::io::BufWriter::new(file)).expect("write JSON report");
+    write_or_exit(&json_path, report.to_json());
     println!("json: {json_path}");
 
     if let Some(speedup) = report.idle_event_speedup() {

@@ -22,7 +22,7 @@
 //! peak level rejects at least one submission — CI uses this via
 //! `scripts/verify.sh`.
 
-use snacknoc_bench::args::CliArgs;
+use snacknoc_bench::args::{write_or_exit, CliArgs};
 use snacknoc_bench::service::{run_service_grid, ServiceGridSpec};
 use snacknoc_noc::Stepping;
 
@@ -53,10 +53,7 @@ fn main() {
     let smoke = args.switch("smoke");
     let json_path = args.str_or("json", "BENCH_service.json");
     let seed = args.u64_or("seed", 5);
-    let threads = args.u64_or(
-        "threads",
-        std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
-    ) as usize;
+    let threads = args.threads();
 
     let loads = if smoke {
         vec![60, 100, 180]
@@ -75,8 +72,7 @@ fn main() {
     let results = run_service_grid(&spec);
     results.print_table();
 
-    let file = std::fs::File::create(&json_path).expect("create JSON report");
-    results.write_json(std::io::BufWriter::new(file)).expect("write JSON report");
+    write_or_exit(&json_path, results.to_json());
     println!("json: {json_path}");
     println!(
         "qos-protected: {}  rejections-at-peak: {}",

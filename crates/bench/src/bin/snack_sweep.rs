@@ -25,7 +25,7 @@
 //! 1 seed, scale 0.002 (CI scale; 1.0 is paper scale), kernel size 16,
 //! threads = available parallelism, 1 sample, JSON to `BENCH_sweep.json`.
 
-use snacknoc_bench::args::CliArgs;
+use snacknoc_bench::args::{write_or_exit, CliArgs};
 use snacknoc_bench::sweep::{run_sweep, SweepSpec};
 use snacknoc_noc::NocPreset;
 use snacknoc_workloads::kernels::Kernel;
@@ -123,10 +123,7 @@ fn main() {
     let seeds: Vec<u64> = (1..=args.u64_or("seeds", 1).max(1)).collect();
     let scale = args.f64_or("scale", 0.002);
     let kernel_size = args.u64_or("kernel-size", 16) as usize;
-    let threads = args.u64_or(
-        "threads",
-        std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
-    ) as usize;
+    let threads = args.threads();
     let samples = u32::try_from(args.u64_or("samples", 1).max(1)).unwrap_or(1);
     let json_path = args.str_or("json", "BENCH_sweep.json");
     let csv_path = args.str_opt("csv").map(str::to_string);
@@ -152,12 +149,12 @@ fn main() {
     let results = run_sweep(&spec);
     results.print_table();
 
-    let file = std::fs::File::create(&json_path).expect("create JSON report");
-    results.write_json(std::io::BufWriter::new(file)).expect("write JSON report");
+    write_or_exit(&json_path, results.to_json());
     println!("json: {json_path}");
     if let Some(path) = csv_path {
-        let file = std::fs::File::create(&path).expect("create CSV report");
-        results.write_csv(std::io::BufWriter::new(file)).expect("write CSV report");
+        let mut csv = Vec::new();
+        results.write_csv(&mut csv).expect("writing to a Vec cannot fail");
+        write_or_exit(&path, String::from_utf8_lossy(&csv));
         println!("csv: {path}");
     }
     if results.cells.iter().any(|c| !c.finished) {

@@ -19,7 +19,8 @@
 //! and the critical-path attribution sums exactly to the kernel latency —
 //! CI uses this via `scripts/verify.sh`.
 
-use snacknoc_bench::args::CliArgs;
+use snacknoc_bench::args::{write_or_exit, CliArgs};
+use snacknoc_bench::check::check_trace;
 use snacknoc_bench::tracing::{run_traced_kernel, DEFAULT_TRACE_CAPACITY};
 use snacknoc_noc::{NocConfig, NocPreset};
 use snacknoc_workloads::kernels::Kernel;
@@ -91,15 +92,12 @@ fn main() {
     }
 
     let json = run.chrome_json();
-    std::fs::write(&json_path, &json).expect("write trace JSON");
+    write_or_exit(&json_path, &json);
     println!("trace: {json_path} ({} bytes)", json.len());
 
     // Self-check the artifact; --smoke makes the checks fatal for CI.
-    match snacknoc_trace::validate_chrome_trace(&json) {
-        Ok(summary) => println!(
-            "validated: {} events (router {}, rcu {}, cpm {})",
-            summary.total_events, summary.router_events, summary.rcu_events, summary.cpm_events
-        ),
+    match check_trace(&json) {
+        Ok(summary) => println!("validated: {summary}"),
         Err(e) => {
             eprintln!("error: emitted trace failed validation: {e}");
             std::process::exit(1);

@@ -34,8 +34,8 @@ use snacknoc_core::{
 };
 use snacknoc_noc::{Dir, FaultPlan, LinkFaultKind, Mesh, NocConfig, NocPreset, NodeId, Stepping};
 use snacknoc_prng::Rng;
+use snacknoc_trace::Json;
 use snacknoc_workloads::kernels::Kernel;
-use std::io::{self, Write};
 
 /// The no-progress window chaos cells run under: small enough that a
 /// stalled attempt escalates to remap/failover quickly, comfortably
@@ -410,65 +410,19 @@ impl ChaosResults {
     }
 
     /// The deterministic JSON report (`BENCH_chaos.json`): pure
-    /// simulation outputs, byte-identical for any worker-thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_json(&self, mut w: impl Write) -> io::Result<()> {
-        writeln!(w, "{{")?;
-        writeln!(w, "  \"cells\": [")?;
-        for (i, c) in self.cells.iter().enumerate() {
-            let comma = if i + 1 == self.cells.len() { "" } else { "," };
-            let violations = c
-                .violations
-                .iter()
-                .map(|v| format!("\"{}\"", crate::sweep::json_escape(v)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            writeln!(
-                w,
-                "    {{\"name\": \"{}\", \"outcome\": \"{}\", \"verified\": {}, \
-                 \"cycles\": {}, \"dead_rcus\": {}, \"dead_links\": {}, \"cpms\": {}, \
-                 \"remaps\": {}, \"failovers\": {}, \"penalty_cycles\": {}, \
-                 \"watchdog_retries\": {}, \"detected\": {}, \"recovered\": {}, \
-                 \"modes_agree\": {}, \"violations\": [{violations}]}}{comma}",
-                crate::sweep::json_escape(&c.name),
-                crate::sweep::json_escape(&c.outcome),
-                c.verified,
-                c.cycles,
-                c.dead_rcus,
-                c.dead_links,
-                c.cpms,
-                c.remaps,
-                c.failovers,
-                c.penalty_cycles,
-                c.watchdog_retries,
-                c.detected,
-                c.recovered,
-                c.modes_agree,
-            )?;
-        }
-        writeln!(w, "  ],")?;
-        writeln!(
-            w,
-            "  \"invariants_hold\": {}, \"degraded_completions\": {}",
-            self.all_invariants_hold(),
-            self.degraded_completions(),
-        )?;
-        writeln!(w, "}}")
-    }
-
-    /// The report as a string (what the determinism tests compare).
-    ///
-    /// # Panics
-    ///
-    /// Never — writing to a `Vec` is infallible.
+    /// simulation outputs, identical for any worker-thread count.
     #[must_use]
-    pub fn deterministic_json(&self) -> String {
-        let mut buf = Vec::new();
-        self.write_json(&mut buf).expect("vec write");
-        String::from_utf8(buf).expect("json is utf-8")
+    pub fn to_json(&self) -> Json {
+        let cells = self.cells.iter().map(|c| {
+            Json::obj(fields!(c; name, outcome, verified, cycles, dead_rcus, dead_links, cpms,
+                remaps, failovers, penalty_cycles, watchdog_retries, detected, recovered,
+                modes_agree, violations))
+        });
+        Json::obj([
+            ("cells", Json::Arr(cells.collect())),
+            ("invariants_hold", self.all_invariants_hold().into()),
+            ("degraded_completions", self.degraded_completions().into()),
+        ])
     }
 
     /// Prints the per-cell summary table.
@@ -526,12 +480,8 @@ mod tests {
         let spec = ChaosSpec::grid(&[Kernel::Mac], 8, &[1, 2, 3]);
         let serial = run_chaos(&spec);
         let parallel = run_chaos(&spec.clone().with_threads(4));
-        assert_eq!(serial.deterministic_json(), parallel.deterministic_json());
-        assert!(
-            serial.all_invariants_hold(),
-            "violations:\n{}",
-            serial.deterministic_json()
-        );
+        assert_eq!(serial.to_json(), parallel.to_json());
+        assert!(serial.all_invariants_hold(), "violations:\n{}", serial.to_json());
         assert!(serial.cells.iter().all(|c| c.modes_agree));
     }
 }

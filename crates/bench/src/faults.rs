@@ -19,9 +19,9 @@ use crate::table::print_table;
 use snacknoc_compiler::{build, MapperConfig};
 use snacknoc_core::{PlatformError, RecoveryConfig, SnackPlatform};
 use snacknoc_noc::{FaultPlan, LatencyHistogram, NocConfig, NocPreset};
+use snacknoc_trace::Json;
 use snacknoc_workloads::kernels::Kernel;
 use std::fmt;
-use std::io::{self, Write};
 
 /// The fault condition one sweep cell applies to its network.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -228,52 +228,15 @@ pub fn run_fault_sweep(spec: &FaultSweepSpec) -> FaultSweepResults {
 
 impl FaultSweepResults {
     /// The deterministic JSON report (`BENCH_faults.json`): pure
-    /// simulation outputs, byte-identical for any worker-thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_json(&self, mut w: impl Write) -> io::Result<()> {
-        writeln!(w, "{{")?;
-        writeln!(w, "  \"cells\": [")?;
-        for (i, c) in self.cells.iter().enumerate() {
-            let comma = if i + 1 == self.cells.len() { "" } else { "," };
-            writeln!(
-                w,
-                "    {{\"name\": \"{}\", \"finished\": {}, \"verified\": {}, \
-                 \"cycles\": {}, \"injected\": {}, \"dropped_packets\": {}, \
-                 \"corrupted_packets\": {}, \"detected\": {}, \"recovered\": {}, \
-                 \"retries\": {}, \"watchdog_fires\": {}, \"corrupt_detected\": {}, \
-                 \"recovery_p50\": {}}}{comma}",
-                crate::sweep::json_escape(&c.name),
-                c.finished,
-                c.verified,
-                c.cycles,
-                c.injected,
-                c.dropped_packets,
-                c.corrupted_packets,
-                c.detected,
-                c.recovered,
-                c.retries,
-                c.watchdog_fires,
-                c.corrupt_detected,
-                c.recovery_p50,
-            )?;
-        }
-        writeln!(w, "  ]")?;
-        writeln!(w, "}}")
-    }
-
-    /// The report as a string (what the determinism tests compare).
-    ///
-    /// # Panics
-    ///
-    /// Never — writing to a `Vec` is infallible.
+    /// simulation outputs, identical for any worker-thread count.
     #[must_use]
-    pub fn deterministic_json(&self) -> String {
-        let mut buf = Vec::new();
-        self.write_json(&mut buf).expect("vec write");
-        String::from_utf8(buf).expect("json is utf-8")
+    pub fn to_json(&self) -> Json {
+        let cells = self.cells.iter().map(|c| {
+            Json::obj(fields!(c; name, finished, verified, cycles, injected, dropped_packets,
+                corrupted_packets, detected, recovered, retries, watchdog_fires,
+                corrupt_detected, recovery_p50))
+        });
+        Json::obj([("cells", Json::Arr(cells.collect()))])
     }
 
     /// Prints the per-cell summary table.
@@ -352,8 +315,8 @@ mod tests {
     fn fault_sweep_is_thread_count_invariant_and_consistent() {
         let serial = run_fault_sweep(&smoke_spec());
         let parallel = run_fault_sweep(&smoke_spec().with_threads(4));
-        assert_eq!(serial.deterministic_json(), parallel.deterministic_json());
-        assert!(serial.all_consistent(), "{}", serial.deterministic_json());
+        assert_eq!(serial.to_json(), parallel.to_json());
+        assert!(serial.all_consistent(), "{}", serial.to_json());
         let clean = &serial.cells[0];
         assert!(clean.finished && clean.verified && clean.injected == 0);
     }

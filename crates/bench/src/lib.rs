@@ -12,8 +12,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// `(key, value)` members for a `Json` object, one per named field of
+/// `$row`: the report key is the field name.
+macro_rules! fields {
+    ($row:expr; $($field:ident),+ $(,)?) => {
+        [$((stringify!($field), snacknoc_trace::Json::from($row.$field.to_owned()))),+]
+    };
+}
+
 pub mod args;
 pub mod chaos;
+pub mod check;
 pub mod csv;
 pub mod experiments;
 pub mod faults;

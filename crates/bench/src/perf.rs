@@ -27,7 +27,7 @@ use snacknoc_compiler::{build, MapperConfig};
 use snacknoc_core::SnackPlatform;
 use snacknoc_noc::{Network, NetStats, NocConfig, NodeId, PacketSpec, Stepping, TrafficClass};
 use snacknoc_prng::Rng;
-use std::io::{self, Write};
+use snacknoc_trace::Json;
 use std::time::Instant;
 
 /// One `Network::step` timing scenario.
@@ -512,17 +512,13 @@ pub fn time_closed_loop(cycles: u64, samples: u32) -> StepTiming {
     }
 }
 
-/// The host's hardware thread count, recorded into `BENCH_perf.json` as
-/// context for its wall-clock columns (the bit-identity columns are
-/// machine-independent, the wall-clock columns are not).
-#[must_use]
-pub fn host_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
 /// The full `BENCH_perf.json` payload.
 #[derive(Clone, Debug)]
 pub struct PerfReport {
+    /// The host's hardware thread count: context for the wall-clock
+    /// columns (the bit-identity columns are machine-independent, the
+    /// wall-clock columns are not).
+    pub host_threads: usize,
     /// `Network::step` scenario results.
     pub step: Vec<StepTiming>,
     /// Full-kernel results.
@@ -544,70 +540,44 @@ impl PerfReport {
         self.step.iter().find(|s| s.name.starts_with("idle")).map(StepTiming::event_speedup)
     }
 
-    /// Writes the `snacknoc-perf-v3` JSON document (v3 dropped the
+    /// The `snacknoc-perf-v3` JSON document (v3 dropped the
     /// sharded-stepping rows and the `active_*` columns when those modes
     /// were removed; v2 added per-row `flits_per_sec` and the
     /// `saturation/32x32` scaling row, DESIGN.md §14). Wall-clock fields
     /// are machine-dependent; the `stats_identical` fields are the
-    /// determinism contract.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_json(&self, mut w: impl Write) -> io::Result<()> {
-        writeln!(w, "{{")?;
-        writeln!(w, "  \"schema\": \"snacknoc-perf-v3\",")?;
-        writeln!(w, "  \"host_threads\": {},", host_threads())?;
-        writeln!(w, "  \"step\": [")?;
-        for (i, s) in self.step.iter().enumerate() {
-            let comma = if i + 1 == self.step.len() { "" } else { "," };
-            writeln!(
-                w,
-                "    {{\"name\": \"{}\", \"sim_cycles\": {}, \"injected_packets\": {}, \
-                 \"injected_flits\": {}, \
-                 \"dense_median_ns\": {}, \"dense_p90_ns\": {}, \
-                 \"event_median_ns\": {}, \"event_p90_ns\": {}, \
-                 \"dense_cycles_per_sec\": {:.1}, \"event_cycles_per_sec\": {:.1}, \
-                 \"flits_per_sec\": {:.1}, \"event_speedup\": {:.3}, \
-                 \"stats_identical\": {}}}{comma}",
-                crate::sweep::json_escape(&s.name),
-                s.sim_cycles,
-                s.injected_packets,
-                s.injected_flits,
-                s.dense.median_ns,
-                s.dense.p90_ns,
-                s.event.median_ns,
-                s.event.p90_ns,
-                s.dense_cycles_per_sec(),
-                s.event_cycles_per_sec(),
-                s.flits_per_sec(),
-                s.event_speedup(),
-                s.stats_identical,
-            )?;
-        }
-        writeln!(w, "  ],")?;
-        writeln!(w, "  \"kernels\": [")?;
-        for (i, k) in self.kernels.iter().enumerate() {
-            let comma = if i + 1 == self.kernels.len() { "" } else { "," };
-            writeln!(
-                w,
-                "    {{\"name\": \"{}\", \"sim_cycles\": {}, \"verified\": {}, \
-                 \"dense_median_ns\": {}, \"dense_p90_ns\": {}, \
-                 \"event_median_ns\": {}, \"event_p90_ns\": {}, \
-                 \"event_speedup\": {:.3}, \"stats_identical\": {}}}{comma}",
-                crate::sweep::json_escape(&k.name),
-                k.sim_cycles,
-                k.verified,
-                k.dense.median_ns,
-                k.dense.p90_ns,
-                k.event.median_ns,
-                k.event.p90_ns,
-                k.event_speedup(),
-                k.stats_identical,
-            )?;
-        }
-        writeln!(w, "  ]")?;
-        writeln!(w, "}}")
+    /// determinism contract. Rates keep one decimal and speedups three.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let step = self.step.iter().map(|s| {
+            let counts = fields!(s; name, sim_cycles, injected_packets, injected_flits);
+            Json::obj(counts.into_iter().chain([
+                ("dense_median_ns", s.dense.median_ns.into()),
+                ("dense_p90_ns", s.dense.p90_ns.into()),
+                ("event_median_ns", s.event.median_ns.into()),
+                ("event_p90_ns", s.event.p90_ns.into()),
+                ("dense_cycles_per_sec", Json::rounded(s.dense_cycles_per_sec(), 1)),
+                ("event_cycles_per_sec", Json::rounded(s.event_cycles_per_sec(), 1)),
+                ("flits_per_sec", Json::rounded(s.flits_per_sec(), 1)),
+                ("event_speedup", Json::rounded(s.event_speedup(), 3)),
+                ("stats_identical", s.stats_identical.into()),
+            ]))
+        });
+        let kernels = self.kernels.iter().map(|k| {
+            Json::obj(fields!(k; name, sim_cycles, verified).into_iter().chain([
+                ("dense_median_ns", k.dense.median_ns.into()),
+                ("dense_p90_ns", k.dense.p90_ns.into()),
+                ("event_median_ns", k.event.median_ns.into()),
+                ("event_p90_ns", k.event.p90_ns.into()),
+                ("event_speedup", Json::rounded(k.event_speedup(), 3)),
+                ("stats_identical", k.stats_identical.into()),
+            ]))
+        });
+        Json::obj([
+            ("schema", Json::Str("snacknoc-perf-v3".into())),
+            ("host_threads", self.host_threads.into()),
+            ("step", Json::Arr(step.collect())),
+            ("kernels", Json::Arr(kernels.collect())),
+        ])
     }
 
     /// Prints the human-readable report tables.
@@ -741,29 +711,37 @@ mod tests {
     fn json_schema_has_required_fields() {
         let s = StepScenario { name: "idle", cols: 4, rows: 4, injection: 0.0, cycles: 200, seed: 1 };
         let report = PerfReport {
+            host_threads: 2,
             step: vec![time_step_scenario(&s, 1)],
             kernels: vec![time_kernel(Kernel::Mac, 8, 7, 1)],
         };
-        let mut buf = Vec::new();
-        report.write_json(&mut buf).expect("vec write");
-        let json = String::from_utf8(buf).expect("utf-8");
+        let json = report.to_json();
+        assert_eq!(json.get("schema").and_then(Json::as_str), Some("snacknoc-perf-v3"));
+        assert_eq!(json.get("host_threads").and_then(Json::as_f64), Some(2.0));
+        let step = &json.get("step").and_then(Json::as_arr).expect("step rows")[0];
+        let kernel = &json.get("kernels").and_then(Json::as_arr).expect("kernel rows")[0];
         for field in [
-            "\"schema\": \"snacknoc-perf-v3\"",
-            "\"host_threads\"",
-            "\"injected_flits\"",
-            "\"flits_per_sec\"",
-            "\"dense_cycles_per_sec\"",
-            "\"event_cycles_per_sec\"",
-            "\"dense_median_ns\"",
-            "\"event_median_ns\"",
-            "\"event_p90_ns\"",
-            "\"event_speedup\"",
-            "\"stats_identical\": true",
+            "injected_flits",
+            "flits_per_sec",
+            "dense_cycles_per_sec",
+            "event_cycles_per_sec",
+            "dense_median_ns",
+            "event_median_ns",
+            "event_p90_ns",
+            "event_speedup",
         ] {
-            assert!(json.contains(field), "missing {field} in {json}");
+            assert!(step.get(field).and_then(Json::as_f64).is_some(), "step row lacks {field}");
         }
-        for gone in ["\"active_", "\"shard", "\"speedup\""] {
-            assert!(!json.contains(gone), "v3 dropped {gone}: {json}");
+        for row in [step, kernel] {
+            assert_eq!(row.get("stats_identical").and_then(Json::as_bool), Some(true));
+        }
+        for obj in [&json, step, kernel] {
+            let Json::Obj(pairs) = obj else { panic!("the report and its rows are objects") };
+            for (key, _) in pairs {
+                let gone =
+                    key.starts_with("active_") || key.starts_with("shard") || key == "speedup";
+                assert!(!gone, "v3 dropped {key}");
+            }
         }
         assert!(report.all_identical());
         assert!(report.idle_event_speedup().is_some());

@@ -9,10 +9,10 @@
 //! ([`crate::sweep::parallel_map`]) and the report is byte-identical for
 //! any worker-thread count — the determinism suite asserts exactly that.
 
-use crate::sweep::{json_escape, parallel_map};
+use crate::sweep::parallel_map;
 use crate::table::print_table;
 use snacknoc_service::{run_service, slo_sweep, QosClass, ServiceReport, Stepping};
-use std::io::{self, Write};
+use snacknoc_trace::Json;
 
 /// The service sweep: which load levels to drive and how.
 #[derive(Clone, Debug)]
@@ -228,93 +228,39 @@ impl ServiceGridResults {
     }
 
     /// The deterministic JSON report (`BENCH_service.json`): pure
-    /// simulation outputs, byte-identical for any worker-thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_json(&self, mut w: impl Write) -> io::Result<()> {
-        writeln!(w, "{{")?;
-        writeln!(w, "  \"schema\": \"snacknoc-service-v1\",")?;
-        writeln!(w, "  \"levels\": [")?;
-        for (i, l) in self.levels.iter().enumerate() {
-            let comma = if i + 1 == self.levels.len() { "" } else { "," };
-            writeln!(w, "    {{\"load\": {}, \"cycles\": {},", l.load, l.cycles)?;
-            writeln!(
-                w,
-                "     \"modes_identical\": {}, \"fairness\": {:.6}, \
-                 \"completed\": {}, \"rejected\": {},",
-                l.modes_identical, l.fairness, l.completed, l.rejected
-            )?;
-            writeln!(w, "     \"classes\": [")?;
-            for (j, c) in l.classes.iter().enumerate() {
-                let ccomma = if j + 1 == l.classes.len() { "" } else { "," };
-                writeln!(
-                    w,
-                    "       {{\"class\": \"{}\", \"submitted\": {}, \"admitted\": {}, \
-                     \"rejected\": {}, \"completed\": {}, \"aborted\": {}, \
-                     \"p50\": {}, \"p90\": {}, \"p99\": {}, \
-                     \"throughput_per_mcycle\": {:.4}}}{ccomma}",
-                    c.class,
-                    c.submitted,
-                    c.admitted,
-                    c.rejected,
-                    c.completed,
-                    c.aborted,
-                    c.p50,
-                    c.p90,
-                    c.p99,
-                    c.throughput_per_mcycle
-                )?;
-            }
-            writeln!(w, "     ],")?;
-            writeln!(w, "     \"tenants\": [")?;
-            for (j, t) in l.tenants.iter().enumerate() {
-                let tcomma = if j + 1 == l.tenants.len() { "" } else { "," };
-                writeln!(
-                    w,
-                    "       {{\"name\": \"{}\", \"class\": \"{}\", \"submitted\": {}, \
-                     \"admitted\": {}, \"rejected\": {}, \"completed\": {}, \
-                     \"p99\": {}}}{tcomma}",
-                    json_escape(&t.name),
-                    t.class,
-                    t.submitted,
-                    t.admitted,
-                    t.rejected,
-                    t.completed,
-                    t.p99
-                )?;
-            }
-            writeln!(w, "     ],")?;
-            let violations = l
-                .violations
-                .iter()
-                .map(|v| format!("\"{}\"", json_escape(v)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            writeln!(w, "     \"violations\": [{violations}]}}{comma}")?;
-        }
-        writeln!(w, "  ],")?;
-        writeln!(
-            w,
-            "  \"invariants_hold\": {}, \"qos_protected\": {}, \"rejections_at_peak\": {}",
-            self.all_invariants_hold(),
-            self.qos_protected(),
-            self.rejections_at_peak(),
-        )?;
-        writeln!(w, "}}")
-    }
-
-    /// The report as a string (what the determinism tests compare).
-    ///
-    /// # Panics
-    ///
-    /// Never — writing to a `Vec` is infallible.
+    /// simulation outputs, identical for any worker-thread count.
+    /// Fairness keeps six decimals and throughput four.
     #[must_use]
-    pub fn deterministic_json(&self) -> String {
-        let mut buf = Vec::new();
-        self.write_json(&mut buf).expect("vec write");
-        String::from_utf8(buf).expect("json is utf-8")
+    pub fn to_json(&self) -> Json {
+        let levels = self.levels.iter().map(|l| {
+            let classes = l.classes.iter().map(|c| {
+                let counts = fields!(c; class, submitted, admitted, rejected, completed, aborted,
+                    p50, p90, p99);
+                let throughput = Json::rounded(c.throughput_per_mcycle, 4);
+                Json::obj(counts.into_iter().chain([("throughput_per_mcycle", throughput)]))
+            });
+            let tenants = l.tenants.iter().map(|t| {
+                Json::obj(fields!(t; name, class, submitted, admitted, rejected, completed, p99))
+            });
+            Json::obj([
+                ("load", l.load.into()),
+                ("cycles", l.cycles.into()),
+                ("modes_identical", l.modes_identical.into()),
+                ("fairness", Json::rounded(l.fairness, 6)),
+                ("completed", l.completed.into()),
+                ("rejected", l.rejected.into()),
+                ("classes", Json::Arr(classes.collect())),
+                ("tenants", Json::Arr(tenants.collect())),
+                ("violations", l.violations.clone().into()),
+            ])
+        });
+        Json::obj([
+            ("schema", Json::Str("snacknoc-service-v1".into())),
+            ("levels", Json::Arr(levels.collect())),
+            ("invariants_hold", self.all_invariants_hold().into()),
+            ("qos_protected", self.qos_protected().into()),
+            ("rejections_at_peak", self.rejections_at_peak().into()),
+        ])
     }
 
     /// Prints the per-level, per-class summary table.
@@ -357,7 +303,7 @@ mod tests {
     fn grid_is_worker_count_invariant() {
         let serial = run_service_grid(&ServiceGridSpec::new(&[60, 140], 5).with_threads(1));
         let parallel = run_service_grid(&ServiceGridSpec::new(&[60, 140], 5).with_threads(4));
-        assert_eq!(serial.deterministic_json(), parallel.deterministic_json());
-        assert!(serial.all_invariants_hold(), "\n{}", serial.deterministic_json());
+        assert_eq!(serial.to_json(), parallel.to_json());
+        assert!(serial.all_invariants_hold(), "\n{}", serial.to_json());
     }
 }

@@ -25,12 +25,13 @@
 //! (cycles, deliveries, utilization) are byte-stable across thread counts
 //! ([`SweepResults::deterministic_json`]), while timing and worker
 //! utilization live in a separate `timing` section that only the full
-//! report ([`SweepResults::write_json`]) includes.
+//! report ([`SweepResults::to_json`]) includes.
 
 use crate::experiments::run_snack_kernel;
 use crate::harness::{summarize, BenchStats};
 use crate::table::print_table;
 use snacknoc_noc::{NocConfig, NocPreset, TrafficClass};
+use snacknoc_trace::Json;
 use snacknoc_workloads::kernels::Kernel;
 use snacknoc_workloads::runner::run_benchmark;
 use snacknoc_workloads::suite::{profile, Benchmark};
@@ -436,130 +437,48 @@ pub fn run_sweep(spec: &SweepSpec) -> SweepResults {
     }
 }
 
-/// Minimal JSON string escaping (cell names are plain ASCII, but stay
-/// correct for anything).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats an `f64` for JSON: Rust's shortest round-trip representation,
-/// which is deterministic for identical bit patterns.
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x:?}")
-    } else {
-        // JSON has no NaN/inf; encode as null (documented lossy corner).
-        "null".to_string()
-    }
-}
-
 impl SweepResults {
-    fn write_cells(&self, w: &mut impl Write) -> io::Result<()> {
-        writeln!(w, "  \"cells\": [")?;
-        for (i, c) in self.cells.iter().enumerate() {
-            let comma = if i + 1 == self.cells.len() { "" } else { "," };
-            writeln!(
-                w,
-                "    {{\"name\": \"{}\", \"runtime_cycles\": {}, \"finished\": {}, \
-                 \"completed\": {}, \"median_crossbar\": {}, \"peak_crossbar\": {}, \
-                 \"mean_comm_latency\": {}}}{comma}",
-                json_escape(&c.name),
-                c.runtime_cycles,
-                c.finished,
-                c.completed,
-                json_f64(c.median_crossbar),
-                json_f64(c.peak_crossbar),
-                json_f64(c.mean_comm_latency),
-            )?;
-        }
-        writeln!(w, "  ]")
+    /// The per-cell rows; `with_wall` adds each cell's host wall-clock
+    /// statistics.
+    fn cells_json(&self, with_wall: bool) -> Json {
+        let rows = self.cells.iter().map(|c| {
+            let sim = fields!(c; name, runtime_cycles, finished, completed, median_crossbar,
+                peak_crossbar, mean_comm_latency);
+            let wall = with_wall.then(|| {
+                ("wall", Json::obj(fields!(c.wall; samples, median_ns, p90_ns, min_ns, max_ns)))
+            });
+            Json::obj(sim.into_iter().chain(wall))
+        });
+        Json::Arr(rows.collect())
     }
 
-    /// The deterministic (simulation-only) JSON report: byte-identical
-    /// for any worker-thread count. This is what the determinism and
-    /// property tests compare.
-    ///
-    /// # Panics
-    ///
-    /// Never — writing to a `Vec` is infallible.
+    /// The deterministic (simulation-only) report: identical for any
+    /// worker-thread count. This is what the determinism and property
+    /// tests compare.
     #[must_use]
-    pub fn deterministic_json(&self) -> String {
-        let mut buf = Vec::new();
-        writeln!(&mut buf, "{{").expect("vec write");
-        self.write_cells(&mut buf).expect("vec write");
-        writeln!(&mut buf, "}}").expect("vec write");
-        String::from_utf8(buf).expect("json is utf-8")
+    pub fn deterministic_json(&self) -> Json {
+        Json::obj([("cells", self.cells_json(false))])
     }
 
-    /// Writes the full `BENCH_sweep.json` report: the deterministic cell
-    /// section plus per-cell wall statistics and pool accounting.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_json(&self, mut w: impl Write) -> io::Result<()> {
-        writeln!(w, "{{")?;
-        write!(w, "  \"cells\": [")?;
-        writeln!(w)?;
-        for (i, c) in self.cells.iter().enumerate() {
-            let comma = if i + 1 == self.cells.len() { "" } else { "," };
-            writeln!(
-                w,
-                "    {{\"name\": \"{}\", \"runtime_cycles\": {}, \"finished\": {}, \
-                 \"completed\": {}, \"median_crossbar\": {}, \"peak_crossbar\": {}, \
-                 \"mean_comm_latency\": {}, \"wall\": {{\"samples\": {}, \"median_ns\": {}, \
-                 \"p90_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}}}{comma}",
-                json_escape(&c.name),
-                c.runtime_cycles,
-                c.finished,
-                c.completed,
-                json_f64(c.median_crossbar),
-                json_f64(c.peak_crossbar),
-                json_f64(c.mean_comm_latency),
-                c.wall.samples,
-                c.wall.median_ns,
-                c.wall.p90_ns,
-                c.wall.min_ns,
-                c.wall.max_ns,
-            )?;
-        }
-        writeln!(w, "  ],")?;
-        writeln!(w, "  \"timing\": {{")?;
-        writeln!(w, "    \"workers\": {},", self.pool.workers)?;
-        writeln!(w, "    \"elapsed_ns\": {},", self.pool.elapsed_ns)?;
-        writeln!(w, "    \"cells_per_sec\": {},", json_f64(self.pool.cells_per_sec()))?;
-        writeln!(w, "    \"worker_utilization\": {},", json_f64(self.pool.utilization()))?;
-        writeln!(
-            w,
-            "    \"cells_per_worker\": [{}],",
-            self.pool
-                .cells_per_worker
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        )?;
-        writeln!(
-            w,
-            "    \"busy_ns_per_worker\": [{}]",
-            self.pool
-                .busy_ns_per_worker
-                .iter()
-                .map(u64::to_string)
-                .collect::<Vec<_>>()
-                .join(", ")
-        )?;
-        writeln!(w, "  }}")?;
-        writeln!(w, "}}")
+    /// The full `BENCH_sweep.json` report: the deterministic cell rows
+    /// plus per-cell wall statistics and pool accounting.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let pool = &self.pool;
+        Json::obj([
+            ("cells", self.cells_json(true)),
+            (
+                "timing",
+                Json::obj([
+                    ("workers", pool.workers.into()),
+                    ("elapsed_ns", pool.elapsed_ns.into()),
+                    ("cells_per_sec", pool.cells_per_sec().into()),
+                    ("worker_utilization", pool.utilization().into()),
+                    ("cells_per_worker", pool.cells_per_worker.clone().into()),
+                    ("busy_ns_per_worker", pool.busy_ns_per_worker.clone().into()),
+                ]),
+            ),
+        ])
     }
 
     /// Writes per-cell wall statistics in the harness CSV layout
@@ -681,28 +600,18 @@ mod tests {
         let spec = SweepSpec::grid(&[Benchmark::Fmm], &[NocPreset::BiNoChs], &[1], 0.004);
         let results = run_sweep(&spec);
         let det = results.deterministic_json();
-        assert!(det.contains("\"cells\""));
-        assert!(det.contains("FMM/BiNoCHS/s1"));
-        assert!(!det.contains("wall"), "deterministic report excludes host timing");
-        let mut buf = Vec::new();
-        results.write_json(&mut buf).unwrap();
-        let full = String::from_utf8(buf).unwrap();
-        assert!(full.contains("\"timing\""));
-        assert!(full.contains("\"worker_utilization\""));
-        assert!(full.contains("\"median_ns\""));
+        let cells = det.get("cells").and_then(Json::as_arr).expect("cells array");
+        assert_eq!(cells[0].get("name").and_then(Json::as_str), Some("FMM/BiNoCHS/s1"));
+        assert!(cells[0].get("wall").is_none(), "deterministic report excludes host timing");
+        assert!(det.get("timing").is_none());
+        let full = snacknoc_trace::parse_json(&results.to_json().to_string()).unwrap();
+        let row = &full.get("cells").and_then(Json::as_arr).unwrap()[0];
+        assert!(row.get("wall").and_then(|w| w.get("median_ns")).is_some());
+        assert!(full.get("timing").and_then(|t| t.get("worker_utilization")).is_some());
         let mut csv = Vec::new();
         results.write_csv(&mut csv).unwrap();
         let csv = String::from_utf8(csv).unwrap();
         assert_eq!(csv.lines().next().unwrap(), "bench,samples,median_ns,p90_ns,min_ns,max_ns");
         assert_eq!(csv.lines().count(), 2);
-    }
-
-    #[test]
-    fn json_escaping_and_floats() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("tab\t"), "tab\\u0009");
-        assert_eq!(json_f64(0.5), "0.5");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
     }
 }

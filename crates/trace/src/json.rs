@@ -1,10 +1,14 @@
-//! A small dependency-free JSON parser and a Chrome-trace validator.
+//! A small dependency-free JSON tree with one renderer, one parser and a
+//! Chrome-trace validator.
 //!
-//! The workspace is hermetic (no serde), but the CI smoke gate must prove
-//! the emitted `trace.json` actually *parses* and contains events on every
-//! component lane. This module is that proof: a recursive-descent parser
-//! for the full JSON grammar (sufficient for our own output and for any
-//! well-formed trace) plus [`validate_chrome_trace`].
+//! The workspace is hermetic (no serde). Every bench report is built as a
+//! [`Json`] tree and rendered by its [`Display`](std::fmt::Display) impl,
+//! and every CI gate reads the emitted files back with [`parse`]: a
+//! recursive-descent parser for the full JSON grammar. The CI smoke gate
+//! also proves the emitted `trace.json` parses and has events on every
+//! component lane ([`validate_chrome_trace`]).
+
+use std::fmt;
 
 /// Parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -13,7 +17,7 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number (we only emit integers, but parse generally).
+    /// Any number. Non-finite values render as `null`.
     Num(f64),
     /// String (escapes decoded).
     Str(String),
@@ -55,6 +59,137 @@ impl Json {
             _ => None,
         }
     }
+
+    /// Boolean value, if this is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// A number rounded to `decimals` places, exactly as
+    /// `format!("{x:.decimals$}")` rounds it.
+    pub fn rounded(x: f64, decimals: usize) -> Json {
+        Json::Num(format!("{x:.decimals$}").parse().unwrap_or(x))
+    }
+
+    /// An object from `(key, value)` pairs, in order.
+    pub fn obj<K: Into<String>>(pairs: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// Whether this value renders without line breaks of its own: a
+    /// scalar or an empty container.
+    fn is_flat(&self) -> bool {
+        match self {
+            Json::Arr(v) => v.is_empty(),
+            Json::Obj(v) => v.is_empty(),
+            _ => true,
+        }
+    }
+
+    fn write(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
+        let (open, close, members): (_, _, Vec<(Option<&str>, &Json)>) = match self {
+            Json::Null => return f.write_str("null"),
+            Json::Bool(b) => return write!(f, "{b}"),
+            Json::Num(n) => return write_num(f, *n),
+            Json::Str(s) => return write_str(f, s),
+            Json::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Json::Obj(pairs) => {
+                ('{', '}', pairs.iter().map(|(k, v)| (Some(k.as_str()), v)).collect())
+            }
+        };
+        // Empty containers are flat, so a broken container has members.
+        let one_line = members.iter().all(|(_, v)| v.is_flat());
+        write!(f, "{open}")?;
+        for (i, (key, value)) in members.into_iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
+            }
+            if !one_line {
+                write!(f, "\n{:w$}", "", w = indent + 2)?;
+            } else if i > 0 {
+                f.write_str(" ")?;
+            }
+            if let Some(key) = key {
+                write_str(f, key)?;
+                f.write_str(": ")?;
+            }
+            value.write(f, indent + 2)?;
+        }
+        if !one_line {
+            write!(f, "\n{:indent$}", "")?;
+        }
+        write!(f, "{close}")
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+/// Numbers convert through `f64`: integers above 2^53 lose precision.
+macro_rules! json_from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Num(n as f64)
+            }
+        }
+    )*};
+}
+json_from_number!(f64, u64, u32, usize);
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(items: Vec<T>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// Renders the tree as JSON. A container whose members are all scalars
+/// (or empty containers) goes on one line; any other container puts each
+/// member on its own line, indented two spaces per level, so a report
+/// reads one row per line. Integral numbers print without a fraction,
+/// other finite numbers in Rust's shortest round-trip form, and NaN or
+/// infinities as `null`.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, 0)
+    }
+}
+
+fn write_num(f: &mut fmt::Formatter<'_>, n: f64) -> fmt::Result {
+    // Integers up to 2^53 are exact in an f64 and print as integers.
+    const EXACT: f64 = 9_007_199_254_740_992.0;
+    if !n.is_finite() {
+        f.write_str("null")
+    } else if n.fract() == 0.0 && n.abs() <= EXACT {
+        write!(f, "{}", n as i64)
+    } else {
+        write!(f, "{n:?}")
+    }
+}
+
+fn write_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c => write!(f, "{c}")?,
+        }
+    }
+    f.write_str("\"")
 }
 
 /// Parse error with byte offset for debugging.
@@ -372,6 +507,86 @@ mod tests {
     #[test]
     fn unicode_escapes_decode() {
         assert_eq!(parse("\"\\u0041\"").unwrap(), Json::Str("A".to_string()));
+    }
+
+    #[test]
+    fn renders_escapes_floats_and_layout() {
+        let s = |v: &str| Json::Str(v.to_string()).to_string();
+        assert_eq!(s("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        assert_eq!(s("tab\t"), "\"tab\\u0009\"");
+        assert_eq!(Json::Num(0.5).to_string(), "0.5");
+        assert_eq!(Json::Num(3.0).to_string(), "3");
+        assert_eq!(Json::Num(f64::NAN).to_string(), "null");
+        assert_eq!(Json::Num(f64::INFINITY).to_string(), "null");
+        assert_eq!(Json::Num(f64::NEG_INFINITY).to_string(), "null");
+        let row = Json::obj([("a", Json::Num(1.0)), ("v", Json::Arr(vec![]))]);
+        assert_eq!(row.to_string(), "{\"a\": 1, \"v\": []}");
+        let doc = Json::obj([("rows", vec![row.clone(), row].into()), ("ok", true.into())]);
+        let lines = [
+            "{",
+            "  \"rows\": [",
+            "    {\"a\": 1, \"v\": []},",
+            "    {\"a\": 1, \"v\": []}",
+            "  ],",
+            "  \"ok\": true",
+            "}",
+        ];
+        assert_eq!(doc.to_string(), lines.join("\n"));
+    }
+
+    /// `tree` with every non-finite number replaced by `null`, the one
+    /// lossy corner of rendering.
+    fn finite_only(tree: &Json) -> Json {
+        match tree {
+            Json::Num(n) if !n.is_finite() => Json::Null,
+            Json::Arr(v) => Json::Arr(v.iter().map(finite_only).collect()),
+            Json::Obj(v) => {
+                Json::Obj(v.iter().map(|(k, v)| (k.clone(), finite_only(v))).collect())
+            }
+            other => other.clone(),
+        }
+    }
+
+    fn random_string(rng: &mut snacknoc_prng::Rng) -> String {
+        const CHARS: [char; 14] = [
+            'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\t', '\u{1}', '\u{1f}', '\u{7f}', 'é', '💡',
+        ];
+        (0..rng.range(0..8)).map(|_| CHARS[rng.range_usize(0..CHARS.len())]).collect()
+    }
+
+    fn random_tree(rng: &mut snacknoc_prng::Rng, depth: u32) -> Json {
+        let leaf_only = depth == 0;
+        match rng.range(0..if leaf_only { 5 } else { 7 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.flip()),
+            2 => Json::Str(random_string(rng)),
+            3 => {
+                let int = rng.range(0..1 << 53) as f64;
+                Json::Num(if rng.flip() { -int } else { int })
+            }
+            4 => Json::Num(match rng.range(0..5) {
+                0 => f64::NAN,
+                1 => f64::INFINITY,
+                2 => f64::NEG_INFINITY,
+                3 => (rng.unit_f64() - 0.5) * 1e-9,
+                _ => (rng.unit_f64() - 0.5) * 1e18,
+            }),
+            5 => Json::Arr((0..rng.range(0..4)).map(|_| random_tree(rng, depth - 1)).collect()),
+            _ => Json::Obj(
+                (0..rng.range(0..4))
+                    .map(|_| (random_string(rng), random_tree(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn rendered_trees_parse_back_to_themselves() {
+        snacknoc_prng::prop_check!(cases = 256, seed = 0x150A_0001, |rng| {
+            let tree = random_tree(rng, 4);
+            let text = tree.to_string();
+            assert_eq!(parse(&text), Ok(finite_only(&tree)), "{text}");
+        });
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! * [`analysis`] — critical-path extraction (an exact tiling of the
 //!   submit→finish interval into compute / ring-wait / VC-stall / spill /
 //!   queue segments), link heatmaps and token-lifetime histograms.
-//! * [`json`] — a dependency-free JSON parser used to self-validate
-//!   emitted traces in CI smoke mode.
+//! * [`json`] — a dependency-free JSON tree: the one renderer of every
+//!   bench report, and the parser that the CI gates and the trace
+//!   self-check read emitted files with.
 //!
 //! ## Determinism contract
 //!

@@ -67,222 +67,67 @@ cargo test -q --offline --workspace
 echo "+ cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-# Fault-injection smoke: a fixed micro-grid with the token-loss watchdog
-# on; exits non-zero unless faults were injected AND every detected loss
-# recovered (recovered == detected, outputs bit-exact).
-echo "+ snack-faults --smoke"
+# The smoke runs below each exit non-zero when their own invariants fail;
+# snack-check then re-reads every emitted report (and the committed
+# BENCH_perf.json) and applies the JSON gates of crates/bench/src/check.rs,
+# so a silently-broken self-check cannot pass CI.
 smoke_json=$(mktemp)
 trace_json=$(mktemp)
 perf_json=$(mktemp)
 chaos_json=$(mktemp)
 service_json=$(mktemp)
 trap 'rm -f "$smoke_json" "$trace_json" "$perf_json" "$chaos_json" "$service_json"' EXIT
-cargo run --release --offline -q -p snacknoc-bench --bin snack-faults -- \
-  --smoke --json "$smoke_json"
+run() {
+  cargo run --release --offline -q -p snacknoc-bench --bin "$@"
+}
+
+# Fault-injection smoke: a fixed micro-grid with the token-loss watchdog
+# on; exits non-zero unless faults were injected AND every detected loss
+# recovered (recovered == detected, outputs bit-exact).
+echo "+ snack-faults --smoke"
+run snack-faults -- --smoke --json "$smoke_json"
 
 # Chaos smoke: randomized permanent+transient fault schedules, every cell
-# run in both stepping modes; the binary exits non-zero unless every
-# invariant holds (termination with a typed verdict, bit-exact outputs,
-# transient recovery, consistent degradation reports, dense/event
-# bit-identity) AND at least one cell completed through an actual
-# remap/failover. The greps re-assert the JSON schema from the shell so a
-# silently-broken self-check cannot pass CI.
+# run in both stepping modes; exits non-zero unless every invariant holds
+# (termination with a typed verdict, bit-exact outputs, transient
+# recovery, consistent degradation reports, dense/event bit-identity) AND
+# at least one cell completed through an actual remap/failover.
 echo "+ snack-chaos --smoke"
-cargo run --release --offline -q -p snacknoc-bench --bin snack-chaos -- \
-  --smoke --json "$chaos_json"
-grep -q '"invariants_hold": true' "$chaos_json" || {
-  echo "ERROR: snack-chaos JSON reports an invariant violation" >&2
-  exit 1
-}
-grep -q '"modes_agree": true' "$chaos_json" || {
-  echo "ERROR: snack-chaos JSON has no mode agreement rows" >&2
-  exit 1
-}
-if grep -q '"modes_agree": false' "$chaos_json"; then
-  echo "ERROR: a chaos cell diverged across stepping modes" >&2
-  exit 1
-fi
-awk -v RS='}' '
-  /"degraded_completions":/ {
-    match($0, /"degraded_completions": [0-9]+/)
-    split(substr($0, RSTART, RLENGTH), kv, ": ")
-    if (kv[2] + 0 < 1) {
-      print "ERROR: chaos smoke never exercised remap/failover" > "/dev/stderr"
-      exit 1
-    }
-    found = 1
-  }
-  END { if (!found) { print "ERROR: no degraded_completions field in chaos JSON" > "/dev/stderr"; exit 1 } }' \
-  "$chaos_json"
+run snack-chaos -- --smoke --json "$chaos_json"
+run snack-check -- chaos "$chaos_json"
 
-# Tracing smoke: run a kernel under the RingTracer and demand (a) the
-# emitted Chrome trace JSON parses, (b) at least one event per component
-# class (router / rcu / cpm), and (c) the critical-path attribution sums
-# exactly to the kernel latency. All three checks live inside the binary
-# and --smoke makes them fatal; the greps below re-assert (a)+(b) from
-# the shell so a silently-broken self-check cannot pass CI.
+# Tracing smoke: run a kernel under the RingTracer; exits non-zero unless
+# the emitted Chrome trace parses with events on every component lane and
+# the critical-path attribution sums exactly to the kernel latency.
 echo "+ snack-trace --smoke"
-trace_out=$(cargo run --release --offline -q -p snacknoc-bench --bin snack-trace -- \
-  --smoke --json "$trace_json")
-echo "$trace_out"
-echo "$trace_out" | grep -q "^validated: " || {
-  echo "ERROR: snack-trace --smoke did not validate its own trace" >&2
-  exit 1
-}
-for lane in router rcu cpm; do
-  grep -q "\"name\":\"$lane\"" "$trace_json" || {
-    echo "ERROR: trace JSON is missing the $lane lane" >&2
-    exit 1
-  }
-done
+run snack-trace -- --smoke --json "$trace_json"
+run snack-check -- trace "$trace_json"
 
 # Stepping-mode hot-loop smoke: time Network::step + a closed-loop
 # platform scenario + a kernel under the dense reference loop and
-# event-driven stepping, and demand the stats fingerprints are
-# bit-identical across both (the binary exits
-# non-zero on any mismatch; the greps re-assert the identity line and the
-# JSON schema from the shell so a silently-broken self-check cannot pass
-# CI). The event rows must exist, and on the idle mesh the event-driven
-# mode must beat the dense baseline — that ordering is structural (the
-# wheel jumps dead cycles the dense loop must walk), so even a loaded CI
-# machine keeps it true.
+# event-driven stepping; exits non-zero unless every stats fingerprint is
+# bit-identical across both. The check also demands that event stepping
+# beats the dense baseline on the idle mesh — structural (the wheel jumps
+# dead cycles the dense loop must walk), so a loaded CI machine keeps it.
 echo "+ snack-perf --smoke"
-perf_out=$(cargo run --release --offline -q -p snacknoc-bench --bin snack-perf -- \
-  --smoke --json "$perf_json")
-echo "$perf_out"
-echo "$perf_out" | grep -q "^stats-identical: yes" || {
-  echo "ERROR: snack-perf --smoke did not prove event == dense stats" >&2
-  exit 1
-}
-grep -q '"schema": "snacknoc-perf-v3"' "$perf_json" || {
-  echo "ERROR: snack-perf JSON is missing the snacknoc-perf-v3 schema tag" >&2
-  exit 1
-}
-grep -q '"stats_identical": true' "$perf_json" || {
-  echo "ERROR: snack-perf JSON reports a stats mismatch" >&2
-  exit 1
-}
-grep -q '"event_median_ns"' "$perf_json" || {
-  echo "ERROR: snack-perf JSON is missing the event-driven timing rows" >&2
-  exit 1
-}
-# Loaded-path fields (DESIGN.md §14): every step row must carry the
-# injected-flit count and the flits/sec throughput figure.
-for field in '"injected_flits":' '"flits_per_sec":'; do
-  grep -q "$field" "$perf_json" || {
-    echo "ERROR: snack-perf JSON is missing the field $field" >&2
-    exit 1
-  }
-done
-awk -v RS='}' '/"name": "idle/ {
-  match($0, /"event_speedup": [0-9.]+/)
-  split(substr($0, RSTART, RLENGTH), kv, ": ")
-  if (kv[2] + 0 <= 1.0) {
-    print "ERROR: idle event_speedup " kv[2] " is not above the dense baseline" > "/dev/stderr"
-    exit 1
-  }
-  found = 1
-}
-END { if (!found) { print "ERROR: no idle row in snack-perf JSON" > "/dev/stderr"; exit 1 } }' \
-  "$perf_json"
+run snack-perf -- --smoke --json "$perf_json"
+run snack-check -- perf "$perf_json"
 
 # Loaded-path gates on the committed full capture (DESIGN.md §14): the
-# v3 schema, a saturation/32x32 scaling row, stats_identical on *every*
-# row (step and kernel alike — a single false bit means event stepping
-# diverged from the dense oracle), and the saturation 16x16 event median
-# beating the capture committed before the data-layout overhaul
-# (EXPERIMENTS.md "Simulator performance": 1 561 807 930 ns on the same
-# container class, measured in the since-removed active mode; a
-# saturated network never goes quiescent, so event mode runs the same
-# per-cycle code; the overhaul targets >= 1.5x, the gate keeps margin
-# for slower hosts).
+# perf gates on every row, a saturation/32x32 scaling row, and the
+# saturation/16x16 event median at least 1.2x faster than the capture
+# committed before the data-layout overhaul.
 if [ -f BENCH_perf.json ]; then
-  grep -q '"schema": "snacknoc-perf-v3"' BENCH_perf.json || {
-    echo "ERROR: committed BENCH_perf.json is not a snacknoc-perf-v3 capture" >&2
-    exit 1
-  }
-  grep -q '"name": "saturation/32x32"' BENCH_perf.json || {
-    echo "ERROR: committed BENCH_perf.json is missing the saturation/32x32 row" >&2
-    exit 1
-  }
-  if grep -q '"stats_identical": false' BENCH_perf.json; then
-    echo "ERROR: a committed BENCH_perf.json row is not bit-identical across modes" >&2
-    exit 1
-  fi
-  awk -v RS='}' -v pre_pr_ns=1561807930 '/"name": "saturation\/16x16"/ {
-    match($0, /"event_median_ns": [0-9]+/)
-    split(substr($0, RSTART, RLENGTH), kv, ": ")
-    speedup = pre_pr_ns / (kv[2] + 0)
-    if (speedup < 1.2) {
-      print "ERROR: saturation/16x16 event median " kv[2] " ns is only " \
-            speedup "x over the pre-PR baseline (need >= 1.2x)" > "/dev/stderr"
-      exit 1
-    }
-    printf "loaded-path gate: saturation/16x16 %.2fx over pre-PR baseline\n", speedup
-    found = 1
-  }
-  END { if (!found) { print "ERROR: no saturation/16x16 row in BENCH_perf.json" > "/dev/stderr"; exit 1 } }' \
-    BENCH_perf.json
+  run snack-check -- perf-capture BENCH_perf.json
 fi
 
 # Service smoke (DESIGN.md §13): the multi-tenant SLO sweep at three
-# load levels, every level in both stepping modes; the binary exits
-# non-zero unless every level is violation-free and dense/event
-# bit-identical, Guaranteed p99 < BestEffort p99 at peak, and the peak
-# level tripped admission control. The greps re-assert the JSON schema
-# from the shell so a silently-broken self-check cannot pass CI.
+# load levels, every level in both stepping modes; exits non-zero unless
+# every level is violation-free and dense/event bit-identical, Guaranteed
+# p99 < BestEffort p99 at peak, and the peak level tripped admission
+# control. The check adds Jain fairness in [0, 1] on every level.
 echo "+ snack-service --smoke"
-cargo run --release --offline -q -p snacknoc-bench --bin snack-service -- \
-  --smoke --json "$service_json"
-grep -q '"schema": "snacknoc-service-v1"' "$service_json" || {
-  echo "ERROR: snack-service JSON is missing the snacknoc-service-v1 schema tag" >&2
-  exit 1
-}
-for field in '"p50":' '"p90":' '"p99":' '"fairness":' '"classes":' '"tenants":'; do
-  grep -q "$field" "$service_json" || {
-    echo "ERROR: snack-service JSON is missing the field $field" >&2
-    exit 1
-  }
-done
-grep -q '"invariants_hold": true' "$service_json" || {
-  echo "ERROR: snack-service JSON reports an invariant violation" >&2
-  exit 1
-}
-grep -q '"qos_protected": true' "$service_json" || {
-  echo "ERROR: snack-service JSON says Guaranteed p99 was not protected at peak" >&2
-  exit 1
-}
-if grep -q '"modes_identical": false' "$service_json"; then
-  echo "ERROR: a snack-service load level diverged across stepping modes" >&2
-  exit 1
-fi
-grep -q '"modes_identical": true' "$service_json" || {
-  echo "ERROR: snack-service JSON has no mode identity rows" >&2
-  exit 1
-}
-# Peak rejections must be nonzero and every fairness index in [0, 1].
-awk '
-  /"rejections_at_peak":/ {
-    match($0, /"rejections_at_peak": [0-9]+/)
-    split(substr($0, RSTART, RLENGTH), kv, ": ")
-    if (kv[2] + 0 == 0) {
-      print "ERROR: peak load never tripped admission control" > "/dev/stderr"
-      exit 1
-    }
-    peak = 1
-  }
-  /"fairness":/ {
-    match($0, /"fairness": [0-9.]+/)
-    split(substr($0, RSTART, RLENGTH), kv, ": ")
-    if (kv[2] + 0 < 0 || kv[2] + 0 > 1) {
-      print "ERROR: Jain fairness " kv[2] " is outside [0, 1]" > "/dev/stderr"
-      exit 1
-    }
-    fair++
-  }
-  END {
-    if (!peak) { print "ERROR: no rejections_at_peak in snack-service JSON" > "/dev/stderr"; exit 1 }
-    if (!fair) { print "ERROR: no fairness fields in snack-service JSON" > "/dev/stderr"; exit 1 }
-  }' "$service_json"
+run snack-service -- --smoke --json "$service_json"
+run snack-check -- service "$service_json"
 
 echo "verify: all green"

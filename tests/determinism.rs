@@ -60,7 +60,7 @@ fn multiprogram_runs_are_bit_reproducible() {
 }
 
 /// The parallel sweep pool is a pure wall-clock optimization: the merged
-/// simulation report is byte-identical whether one worker runs every cell
+/// simulation report is identical whether one worker runs every cell
 /// or four workers race for them (and whether a cell is repeated for
 /// wall-clock sampling).
 #[test]
@@ -82,7 +82,7 @@ fn sweep_reports_are_thread_count_invariant() {
     assert_eq!(
         serial.deterministic_json(),
         parallel.deterministic_json(),
-        "threads=1 and threads=4 must merge to identical bytes"
+        "threads=1 and threads=4 must merge to identical reports"
     );
     assert_eq!(serial.cells.len(), cells.len());
     assert!(serial.cells.iter().all(|c| c.finished), "every cell completes");
@@ -112,9 +112,9 @@ fn fault_sweep_reports_are_thread_count_invariant() {
     let serial = run_fault_sweep(&spec.clone().with_threads(1));
     let parallel = run_fault_sweep(&spec.with_threads(4));
     assert_eq!(
-        serial.deterministic_json(),
-        parallel.deterministic_json(),
-        "threads=1 and threads=4 fault sweeps must merge to identical bytes"
+        serial.to_json(),
+        parallel.to_json(),
+        "threads=1 and threads=4 fault sweeps must merge to identical reports"
     );
     assert!(serial.all_consistent(), "every cell verified, recovered == detected");
     assert!(
@@ -369,7 +369,7 @@ fn remap_and_failover_are_bit_identical_across_modes() {
 
 /// Graceful degradation, part 2: the chaos grid — randomized permanent +
 /// transient schedules, each cell already spanning both stepping modes
-/// internally — merges to identical bytes on 1 and 4 workers, with
+/// internally — merges to identical reports on 1 and 4 workers, with
 /// every invariant intact.
 #[test]
 fn chaos_grid_reports_are_worker_count_invariant() {
@@ -378,14 +378,14 @@ fn chaos_grid_reports_are_worker_count_invariant() {
     let serial = run_chaos(&spec.clone().with_threads(1));
     let parallel = run_chaos(&spec.with_threads(4));
     assert_eq!(
-        serial.deterministic_json(),
-        parallel.deterministic_json(),
-        "threads=1 and threads=4 chaos grids must merge to identical bytes"
+        serial.to_json(),
+        parallel.to_json(),
+        "threads=1 and threads=4 chaos grids must merge to identical reports"
     );
     assert!(
         serial.all_invariants_hold(),
         "chaos invariants: {}",
-        serial.deterministic_json()
+        serial.to_json()
     );
     assert!(
         serial.cells.iter().all(|c| c.modes_agree),
@@ -461,9 +461,9 @@ fn service_grid_json_is_worker_count_invariant() {
     let serial = run_service_grid(&ServiceGridSpec::new(&[80, 160], 19).with_threads(1));
     let parallel = run_service_grid(&ServiceGridSpec::new(&[80, 160], 19).with_threads(4));
     assert_eq!(
-        serial.deterministic_json(),
-        parallel.deterministic_json(),
-        "threads=1 and threads=4 service grids must merge to identical bytes"
+        serial.to_json(),
+        parallel.to_json(),
+        "threads=1 and threads=4 service grids must merge to identical reports"
     );
-    assert!(serial.all_invariants_hold(), "\n{}", serial.deterministic_json());
+    assert!(serial.all_invariants_hold(), "\n{}", serial.to_json());
 }
