@@ -144,7 +144,8 @@ fn identical_row(row: &Json) -> Result<(), String> {
 
 /// The `snack-perf` gates: schema tag; every step and kernel row
 /// bit-identical with an event median; every step row carrying
-/// `injected_flits` and `flits_per_sec`; and event stepping faster than
+/// `injected_flits`, `flits_per_sec`, `delivered_flits_per_sec` and
+/// `ni_backlog_end` as numbers; and event stepping faster than
 /// the dense loop on every idle row (structural: the wheel jumps the
 /// dead cycles the dense loop walks, so a loaded host keeps it true).
 fn check_perf(doc: &Json) -> Result<String, String> {
@@ -154,6 +155,8 @@ fn check_perf(doc: &Json) -> Result<String, String> {
         identical_row(r)?;
         num(r, "injected_flits")?;
         num(r, "flits_per_sec")?;
+        num(r, "delivered_flits_per_sec")?;
+        num(r, "ni_backlog_end")?;
         if string(r, "name")?.starts_with("idle") {
             let speedup = num(r, "event_speedup")?;
             ensure!(speedup > 1.0, "idle event_speedup {speedup} is not above the dense baseline");
@@ -234,10 +237,13 @@ mod tests {
 
     const PERF: &str = r#"{"schema": "snacknoc-perf-v3", "host_threads": 2, "step": [
         {"name": "idle/16x16", "injected_flits": 0, "flits_per_sec": 0.0,
+         "delivered_flits_per_sec": 0.0, "ni_backlog_end": 0,
          "event_median_ns": 30000, "event_speedup": 3000.0, "stats_identical": true},
         {"name": "saturation/16x16", "injected_flits": 191515, "flits_per_sec": 241419.1,
+         "delivered_flits_per_sec": 239000.0, "ni_backlog_end": 120,
          "event_median_ns": 800000000, "event_speedup": 1.0, "stats_identical": true},
         {"name": "saturation/32x32", "injected_flits": 254340, "flits_per_sec": 61876.1,
+         "delivered_flits_per_sec": 43200.0, "ni_backlog_end": 52347,
          "event_median_ns": 4100000000, "event_speedup": 1.0, "stats_identical": true}],
         "kernels": [
         {"name": "MAC/24", "event_median_ns": 1000, "stats_identical": true},
@@ -381,6 +387,22 @@ mod tests {
                 ("kernels.SPMV/24.event_median_ns", None, "missing field \"event_median_ns\""),
                 ("step.saturation/16x16.injected_flits", None, "missing field \"injected_flits\""),
                 ("step.saturation/32x32.flits_per_sec", None, "missing field \"flits_per_sec\""),
+                (
+                    "step.saturation/16x16.delivered_flits_per_sec",
+                    None,
+                    "missing field \"delivered_flits_per_sec\"",
+                ),
+                (
+                    "step.idle/16x16.delivered_flits_per_sec",
+                    Some(Json::Str("fast".into())),
+                    "\"delivered_flits_per_sec\" is not a number",
+                ),
+                ("step.saturation/32x32.ni_backlog_end", None, "missing field \"ni_backlog_end\""),
+                (
+                    "step.saturation/16x16.ni_backlog_end",
+                    Some(Json::Null),
+                    "\"ni_backlog_end\" is not a number",
+                ),
                 ("step.idle/16x16.event_speedup", num(1.0), "not above the dense baseline"),
                 ("step.idle/16x16.name", Some(Json::Str("busy/16x16".into())), "no idle step row"),
                 ("kernels", Some(Json::Arr(vec![])), "no rows"),

@@ -180,9 +180,30 @@ pub fn stats_fingerprint(injected: u64, delivered: u64, pending: u64, stats: &Ne
     out
 }
 
+/// The flit counts a step row reports, taken from its untimed dense
+/// reference run.
+#[derive(Clone, Copy, Debug)]
+struct FlitCounts {
+    injected: u64,
+    delivered: u64,
+    ni_backlog_end: u64,
+}
+
+impl FlitCounts {
+    fn of(stats: &NetStats, ni_backlog_end: u64) -> Self {
+        let classes =
+            [TrafficClass::Communication, TrafficClass::SnackInstruction, TrafficClass::SnackData];
+        FlitCounts {
+            injected: stats.injected_flits,
+            delivered: classes.iter().map(|&c| stats.class(c).flits).sum(),
+            ni_backlog_end,
+        }
+    }
+}
+
 /// Runs `s` once in the given mode, replaying `schedule`. Returns the
 /// wall time of the stepping loop (ns), the simulation fingerprint, and
-/// the injected flit count.
+/// the flit counts.
 ///
 /// Dense mode drives the canonical per-cycle loop (inject, step, drain —
 /// the original baseline driver). Event mode drives the same schedule
@@ -195,7 +216,7 @@ fn run_step_once(
     cfg: &NocConfig,
     schedule: &[Injection],
     mode: Stepping,
-) -> (u64, String, u64) {
+) -> (u64, String, FlitCounts) {
     let mut net: Network<u64> = Network::new(cfg.clone()).expect("valid perf config");
     net.set_stepping(mode);
     let mut cursor = 0usize;
@@ -259,10 +280,10 @@ fn run_step_once(
     let injected = net.injected_packets();
     let delivered = net.delivered_packets();
     let pending = net.pending_packets();
+    let backlog = net.total_ni_backlog();
     let stats = net.finalize_stats();
-    let flits = stats.injected_flits;
     let fp = stats_fingerprint(injected, delivered, pending, stats);
-    (ns, fp, flits)
+    (ns, fp, FlitCounts::of(stats, backlog))
 }
 
 /// Wall times of one scenario in both stepping modes, and whether every
@@ -315,6 +336,12 @@ pub struct StepTiming {
     pub injected_packets: u64,
     /// Flits injected per iteration (same for both modes).
     pub injected_flits: u64,
+    /// Flits delivered per iteration (same for both modes).
+    pub delivered_flits: u64,
+    /// Flits still queued at source NIs when the run ends. Nonzero means
+    /// the offered load outran the network, so `flits_per_sec` (counted
+    /// at injection) partly measures queue growth.
+    pub ni_backlog_end: u64,
     /// Dense reference-loop timings (the baseline).
     pub dense: BenchStats,
     /// Event-driven timings (the default mode).
@@ -344,6 +371,14 @@ impl StepTiming {
         self.injected_flits as f64 * 1e9 / self.event.median_ns.max(1) as f64
     }
 
+    /// Delivered flits simulated per wall-clock second under the default
+    /// (event-driven) stepper: the throughput a past-the-knee row cannot
+    /// inflate with NI queue growth.
+    #[must_use]
+    pub fn delivered_flits_per_sec(&self) -> f64 {
+        self.delivered_flits as f64 * 1e9 / self.event.median_ns.max(1) as f64
+    }
+
     /// Event-driven speedup over the dense baseline (median-based).
     #[must_use]
     pub fn event_speedup(&self) -> f64 {
@@ -369,7 +404,9 @@ pub fn time_step_scenario(s: &StepScenario, samples: u32) -> StepTiming {
     StepTiming {
         sim_cycles: s.cycles,
         injected_packets: schedule.len() as u64,
-        injected_flits: t.reference,
+        injected_flits: t.reference.injected,
+        delivered_flits: t.reference.delivered,
+        ni_backlog_end: t.reference.ni_backlog_end,
         dense: t.dense,
         event: t.event,
         stats_identical: t.identical,
@@ -492,20 +529,22 @@ pub fn time_closed_loop(cycles: u64, samples: u32) -> StepTiming {
         let delivered = p.net_delivered_packets();
         let done = p.workload_done();
         let runtime = p.workload_runtime();
+        let backlog = p.net_ni_backlog();
         let stats = p.finalize_stats();
-        let flits = stats.injected_flits;
         let fp = format!(
             "done={done} runtime={runtime:?} {}",
             stats_fingerprint(injected, delivered, 0, stats),
         );
-        (ns, fp, (injected, flits))
+        (ns, fp, (injected, FlitCounts::of(stats, backlog)))
     });
-    let (injected_packets, injected_flits) = t.reference;
+    let (injected_packets, flits) = t.reference;
     StepTiming {
         name: "closed-loop/8x8".to_string(),
         sim_cycles: cycles,
         injected_packets,
-        injected_flits,
+        injected_flits: flits.injected,
+        delivered_flits: flits.delivered,
+        ni_backlog_end: flits.ni_backlog_end,
         dense: t.dense,
         event: t.event,
         stats_identical: t.identical,
@@ -549,7 +588,8 @@ impl PerfReport {
     #[must_use]
     pub fn to_json(&self) -> Json {
         let step = self.step.iter().map(|s| {
-            let counts = fields!(s; name, sim_cycles, injected_packets, injected_flits);
+            let counts = fields!(s; name, sim_cycles, injected_packets, injected_flits,
+                delivered_flits, ni_backlog_end);
             Json::obj(counts.into_iter().chain([
                 ("dense_median_ns", s.dense.median_ns.into()),
                 ("dense_p90_ns", s.dense.p90_ns.into()),
@@ -558,6 +598,7 @@ impl PerfReport {
                 ("dense_cycles_per_sec", Json::rounded(s.dense_cycles_per_sec(), 1)),
                 ("event_cycles_per_sec", Json::rounded(s.event_cycles_per_sec(), 1)),
                 ("flits_per_sec", Json::rounded(s.flits_per_sec(), 1)),
+                ("delivered_flits_per_sec", Json::rounded(s.delivered_flits_per_sec(), 1)),
                 ("event_speedup", Json::rounded(s.event_speedup(), 3)),
                 ("stats_identical", s.stats_identical.into()),
             ]))
@@ -592,6 +633,8 @@ impl PerfReport {
                     format!("{:.2e}", s.dense_cycles_per_sec()),
                     format!("{:.2e}", s.event_cycles_per_sec()),
                     format!("{:.2e}", s.flits_per_sec()),
+                    format!("{:.2e}", s.delivered_flits_per_sec()),
+                    s.ni_backlog_end.to_string(),
                     format!("{:.2}x", s.event_speedup()),
                     if s.stats_identical { "yes".into() } else { "NO".into() },
                 ]
@@ -604,6 +647,8 @@ impl PerfReport {
                 "dense cyc/s",
                 "event cyc/s",
                 "flits/s",
+                "delivered/s",
+                "NI backlog",
                 "event speedup",
                 "bit-identical",
             ],
@@ -723,6 +768,9 @@ mod tests {
         for field in [
             "injected_flits",
             "flits_per_sec",
+            "delivered_flits",
+            "delivered_flits_per_sec",
+            "ni_backlog_end",
             "dense_cycles_per_sec",
             "event_cycles_per_sec",
             "dense_median_ns",

@@ -682,6 +682,11 @@ impl SnackPlatform {
         self.net.delivered_packets()
     }
 
+    /// Flits waiting in the underlying network's NI injection queues.
+    pub fn net_ni_backlog(&self) -> u64 {
+        self.net.total_ni_backlog()
+    }
+
     /// Aggregated RCU statistics across all routers.
     pub fn rcu_stats(&self) -> RcuStats {
         let mut agg = RcuStats::default();

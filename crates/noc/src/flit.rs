@@ -145,6 +145,19 @@ pub struct Flit {
 }
 
 impl Flit {
+    /// Filler for empty router buffer slots; never read as a live flit.
+    pub(crate) const VACANT: Flit = Flit {
+        id: 0,
+        packet_id: 0,
+        queued_at: 0,
+        buffered_at: 0,
+        payload: PayloadRef::NONE,
+        meta: 0,
+        hops: 0,
+        src: 0,
+        dst: 0,
+    };
+
     /// Builds a fresh flit at the injection boundary.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(

@@ -6,13 +6,13 @@ use crate::fault::{FaultAction, FaultCounters, FaultPlan, FaultPlanError, FaultS
 use crate::flit::{Flit, FlitKind};
 use crate::packet::{Packet, PacketId, PacketSpec};
 use crate::pool::{PayloadPool, PayloadRef};
-use crate::router::{Departure, Router};
+use crate::router::{wrap_next, Departure, Router};
 use crate::routing::Dir;
 use crate::stats::NetStats;
 use crate::timewheel::TimeWheel;
 use crate::topology::{Mesh, NodeId};
 use snacknoc_trace::{EventKind, TracerHandle};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// A one-cycle-latency directed link between two routers.
@@ -44,11 +44,79 @@ struct NetIf {
 }
 
 /// Reassembly state for one in-flight packet at its destination NI.
-#[derive(Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Partial {
     head: Option<Flit>,
     flits: u64,
     corrupted: bool,
+}
+
+impl Partial {
+    const EMPTY: Partial = Partial { head: None, flits: 0, corrupted: false };
+}
+
+/// Marks an input VC with no packet in reassembly.
+const NO_PARTIAL: u32 = u32::MAX;
+
+/// Marks a port with no neighbour in the upstream table.
+const NO_ROUTER: u32 = u32::MAX;
+
+/// A fixed-capacity set of small indices, one bit each in `u64` words.
+/// The network's worklists: walked word by word in ascending index
+/// order, which is the dense loop's visit order, so no per-cycle sort.
+#[derive(Clone, Debug)]
+struct IndexSet {
+    words: Box<[u64]>,
+}
+
+impl IndexSet {
+    fn new(capacity: usize) -> Self {
+        IndexSet { words: vec![0; capacity.div_ceil(64)].into_boxed_slice() }
+    }
+
+    #[inline]
+    fn insert(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    #[inline]
+    fn remove(&mut self, i: usize) {
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+
+    #[inline]
+    fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// The members in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(w, &word)| bits(word).map(move |b| w * 64 + b))
+    }
+}
+
+/// The set bits of `word`, ascending.
+#[inline]
+fn bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            b
+        })
+    })
 }
 
 /// A structured snapshot of why a network failed to drain: which routers
@@ -113,27 +181,30 @@ pub struct Network<P> {
     pool: PayloadPool<P>,
     /// `link_of[router][dir]` = outgoing link id.
     link_of: Vec<[Option<usize>; 4]>,
+    /// `upstream[router][port]` = the neighbour feeding input `port`
+    /// (`NO_ROUTER` at mesh edges): where credits for that port go.
+    upstream: Box<[[u32; 4]]>,
+    /// Every node's `(x, y)`, for route computation at head arrival.
+    coords: Box<[(u16, u16)]>,
     pending_credits: Vec<CreditMsg>,
-    reassembly: HashMap<PacketId, Partial>,
+    /// Slab index of the packet in reassembly per destination input VC,
+    /// at `(router * Dir::COUNT + in_port) * vcs + in_vc`, or
+    /// `NO_PARTIAL`. Atomic VC reuse gives an input VC to one packet from
+    /// head to tail, so the VC names the packet (DESIGN.md §14).
+    reassembly: Box<[u32]>,
+    /// Reassembly slab; `free_partials` lists its vacant entries.
+    partials: Vec<Partial>,
+    free_partials: Vec<u32>,
     ejected: Vec<Vec<Packet<P>>>,
-    /// Dedup flags for the router worklist: `work[r]` ⟺ `r ∈ active`.
-    work: Vec<bool>,
     /// The router worklist. Between cycles it holds exactly the routers
     /// that can make progress next cycle (buffered flits survived Phase 4,
     /// plus wakeups from credit return, link delivery and NI injection).
-    active: Vec<usize>,
-    /// Scratch the worklist is drained through each Phase 4 (kept around
-    /// so steady-state stepping never allocates).
-    active_scratch: Vec<usize>,
-    /// Links whose slot is occupied — exactly one entry per filled slot,
-    /// pushed when Phase 4 fills the slot, drained by the next Phase 2.
-    occupied_links: Vec<usize>,
-    links_scratch: Vec<usize>,
+    work: IndexSet,
+    /// Links whose slot is occupied, set when Phase 4 fills the slot and
+    /// drained by the next Phase 2.
+    occupied_links: IndexSet,
     /// NI worklist: nodes with a nonzero injection backlog.
-    ni_active: Vec<usize>,
-    ni_scratch: Vec<usize>,
-    /// Dedup flags for `ni_active`.
-    ni_flag: Vec<bool>,
+    ni_active: IndexSet,
     /// Per-node incremental NI backlog (flits queued, all vnets).
     ni_backlogs: Vec<u64>,
     /// Network-wide incremental NI backlog.
@@ -257,10 +328,12 @@ impl<P> Network<P> {
             mesh.nodes().map(|node| Router::new(&cfg, &mesh, node)).collect();
         let mut links = Vec::new();
         let mut link_of = vec![[None; 4]; n];
+        let mut upstream = vec![[NO_ROUTER; 4]; n];
         for node in mesh.nodes() {
             for d in Dir::ROUTER_DIRS {
                 if let Some(nb) = mesh.neighbor(node, d) {
                     link_of[node.index()][d.index()] = Some(links.len());
+                    upstream[node.index()][d.index()] = nb.index() as u32;
                     links.push(Link { to_router: nb.index(), in_port: d.opposite(), slot: None });
                 }
             }
@@ -276,24 +349,23 @@ impl<P> Network<P> {
             * u64::from(cfg.buffers_per_vc);
         let stats = NetStats::new(n, links.len(), cfg.sample_window);
         Ok(Network {
+            coords: mesh.coord_table(),
+            reassembly: vec![NO_PARTIAL; n * Dir::COUNT * cfg.vcs_per_port()].into_boxed_slice(),
+            partials: Vec::new(),
+            free_partials: Vec::new(),
             cfg,
             mesh,
             routers,
             nis,
+            occupied_links: IndexSet::new(links.len()),
             links,
             pool: PayloadPool::new(),
             link_of,
+            upstream: upstream.into_boxed_slice(),
             pending_credits: Vec::new(),
-            reassembly: HashMap::new(),
             ejected: (0..n).map(|_| Vec::new()).collect(),
-            work: vec![false; n],
-            active: Vec::with_capacity(n),
-            active_scratch: Vec::with_capacity(n),
-            occupied_links: Vec::with_capacity(stats.link_count()),
-            links_scratch: Vec::with_capacity(stats.link_count()),
-            ni_active: Vec::with_capacity(n),
-            ni_scratch: Vec::with_capacity(n),
-            ni_flag: vec![false; n],
+            work: IndexSet::new(n),
+            ni_active: IndexSet::new(n),
             ni_backlogs: vec![0; n],
             ni_backlog_total: 0,
             credits_scratch: Vec::new(),
@@ -434,7 +506,7 @@ impl<P> Network<P> {
     /// indicate a reassembly-map leak (an entry whose tail never ejects),
     /// which would otherwise grow silently.
     pub fn stuck_packets(&self) -> usize {
-        self.reassembly.len()
+        self.partials.len() - self.free_partials.len()
     }
 
     /// Queues a packet for injection at its source NI.
@@ -445,7 +517,11 @@ impl<P> Network<P> {
     ///
     /// # Errors
     ///
-    /// Returns [`InjectError`] if the vnet or either node is out of range.
+    /// Returns [`InjectError::BadVnet`] or [`InjectError::BadNode`] if the
+    /// vnet or either node is out of range, and
+    /// [`InjectError::PayloadPoolExhausted`] if the payload pool is at the
+    /// cap set by [`Network::limit_payload_pool`]. On error the network
+    /// is unchanged.
     pub fn inject(&mut self, spec: PacketSpec<P>) -> Result<PacketId, InjectError> {
         if spec.vnet >= self.cfg.vnets {
             return Err(InjectError::BadVnet(spec.vnet));
@@ -476,10 +552,7 @@ impl<P> Network<P> {
         if nf > 0 {
             self.ni_backlogs[src] += nf as u64;
             self.ni_backlog_total += nf as u64;
-            if !self.ni_flag[src] {
-                self.ni_flag[src] = true;
-                self.ni_active.push(src);
-            }
+            self.ni_active.insert(src);
         }
         let queue = &mut self.nis[src].queues[spec.vnet as usize];
         for i in 0..nf {
@@ -586,7 +659,7 @@ impl<P> Network<P> {
         self.pending_credits.is_empty()
             && self.occupied_links.is_empty()
             && self.ni_active.is_empty()
-            && self.active.is_empty()
+            && self.work.is_empty()
     }
 
     /// The earliest scheduled wake cycle strictly after the current cycle
@@ -651,17 +724,14 @@ impl<P> Network<P> {
     /// Marks router `r` as having work next Phase 4 (idempotent).
     #[inline]
     fn mark_router(&mut self, r: usize) {
-        if !self.work[r] {
-            self.work[r] = true;
-            self.active.push(r);
-        }
+        self.work.insert(r);
     }
 
-    /// Debug invariant: `occupied_links` lists exactly the filled slots.
+    /// Debug invariant: `occupied_links` holds exactly the filled slots.
     fn links_list_consistent(&self) -> bool {
         let filled = self.links.iter().filter(|l| l.slot.is_some()).count();
         filled == self.occupied_links.len()
-            && self.occupied_links.iter().all(|&lid| self.links[lid].slot.is_some())
+            && self.occupied_links.iter().all(|lid| self.links[lid].slot.is_some())
     }
 
     /// Advances the network by one cycle.
@@ -702,24 +772,21 @@ impl<P> Network<P> {
         // dense loop's iteration order exactly (fault decisions are
         // hash-derived per (link, packet), so they are order-independent
         // anyway).
-        let cap = self.cfg.buffers_per_vc as usize;
         debug_assert!(self.links_list_consistent());
         if dense {
             for lid in 0..self.links.len() {
                 if self.links[lid].slot.is_some() {
-                    self.deliver_link(lid, cycle, cap);
+                    self.deliver_link(lid, cycle);
                 }
             }
             self.occupied_links.clear();
         } else {
-            debug_assert!(self.links_scratch.is_empty());
-            std::mem::swap(&mut self.occupied_links, &mut self.links_scratch);
-            self.links_scratch.sort_unstable();
-            for i in 0..self.links_scratch.len() {
-                let lid = self.links_scratch[i];
-                self.deliver_link(lid, cycle, cap);
+            for w in 0..self.occupied_links.words.len() {
+                let word = std::mem::take(&mut self.occupied_links.words[w]);
+                for b in bits(word) {
+                    self.deliver_link(w * 64 + b, cycle);
+                }
             }
-            self.links_scratch.clear();
         }
 
         // Phase 3: NI injection — only nodes with a queued flit can
@@ -727,72 +794,56 @@ impl<P> Network<P> {
         // dense loop (no state, not even the vnet round-robin pointer,
         // changes), so skipping it is exact.
         if dense {
-            self.ni_active.clear();
             for node in 0..self.nis.len() {
-                let backlog = self.inject_from_ni(node, cycle);
-                self.ni_flag[node] = backlog;
-                if backlog {
-                    self.ni_active.push(node);
+                if self.inject_from_ni(node, cycle) {
+                    self.ni_active.insert(node);
+                } else {
+                    self.ni_active.remove(node);
                 }
             }
         } else {
-            debug_assert!(self.ni_scratch.is_empty());
-            std::mem::swap(&mut self.ni_active, &mut self.ni_scratch);
-            self.ni_scratch.sort_unstable();
-            for i in 0..self.ni_scratch.len() {
-                let node = self.ni_scratch[i];
-                let backlog = self.inject_from_ni(node, cycle);
-                self.ni_flag[node] = backlog;
-                if backlog {
-                    self.ni_active.push(node);
+            for w in 0..self.ni_active.words.len() {
+                for b in bits(self.ni_active.words[w]) {
+                    let node = w * 64 + b;
+                    if !self.inject_from_ni(node, cycle) {
+                        self.ni_active.remove(node);
+                    }
                 }
             }
-            self.ni_scratch.clear();
         }
 
         // Phase 4: router pipelines (RC, VA, SA/ST) + ejection, for the
-        // worklist only. Both modes visit exactly the routers with
-        // `work[r]` set, in ascending order, and leave `active` holding
-        // the survivors (routers still buffering flits) in ascending
-        // order for Phase 5. No same-phase wakeups exist: credits are
-        // deferred to next Phase 1 and link fills to next Phase 2.
+        // worklist only. Both modes visit exactly the routers in `work`,
+        // in ascending order, and leave it holding the survivors (routers
+        // still buffering flits) for Phase 5. No same-phase wakeups
+        // exist: credits are deferred to next Phase 1 and link fills to
+        // next Phase 2, so each word can be walked from a snapshot.
         let use_down = self.fault.as_ref().is_some_and(|f| f.has_down_windows());
         if dense {
-            self.active.clear();
             for r in 0..self.routers.len() {
-                if !self.work[r] {
-                    continue;
-                }
-                let still = self.run_router(r, cycle, use_down);
-                self.work[r] = still;
-                if still {
-                    self.active.push(r);
+                if self.work.contains(r) && !self.run_router(r, cycle, use_down) {
+                    self.work.remove(r);
                 }
             }
         } else {
-            debug_assert!(self.active_scratch.is_empty());
-            std::mem::swap(&mut self.active, &mut self.active_scratch);
-            self.active_scratch.sort_unstable();
-            for i in 0..self.active_scratch.len() {
-                let r = self.active_scratch[i];
-                debug_assert!(self.work[r], "worklist entry without its flag");
-                let still = self.run_router(r, cycle, use_down);
-                self.work[r] = still;
-                if still {
-                    self.active.push(r);
+            for w in 0..self.work.words.len() {
+                for b in bits(self.work.words[w]) {
+                    let r = w * 64 + b;
+                    if !self.run_router(r, cycle, use_down) {
+                        self.work.remove(r);
+                    }
                 }
             }
-            self.active_scratch.clear();
         }
 
         // Phase 5: per-router input-buffer occupancy samples + window
         // roll. The paper's Fig. 3 measures buffer utilization per
         // router-cycle: localized contention shows up even when the
         // network as a whole is nearly empty. After Phase 4 the worklist
-        // holds exactly the routers with buffered flits (ascending), so
-        // the incremental path records the same nonzero samples in the
-        // same order as the dense scan, then credits the zeros in one
-        // batched call — identical `OccupancyCdf` updates.
+        // holds exactly the routers with buffered flits, so walking it in
+        // ascending order records the same nonzero samples in the same
+        // order as the dense scan, then credits the zeros in one batched
+        // call — identical `OccupancyCdf` updates.
         let per_router_capacity = self.buffer_capacity as f64 / self.routers.len() as f64;
         if dense {
             let mut zeros = 0u64;
@@ -806,14 +857,13 @@ impl<P> Network<P> {
             }
             self.stats.occupancy.record_zeros(zeros);
         } else {
-            let zeros = (self.routers.len() - self.active.len()) as u64;
+            let zeros = (self.routers.len() - self.work.len()) as u64;
             debug_assert_eq!(
                 zeros,
                 self.routers.iter().filter(|r| r.buffered_flits() == 0).count() as u64,
                 "post-Phase-4 worklist must equal the set of occupied routers"
             );
-            for i in 0..self.active.len() {
-                let r = self.active[i];
+            for r in self.work.iter() {
                 let buffered = self.routers[r].buffered_flits();
                 debug_assert!(buffered > 0);
                 self.stats.occupancy.record(buffered as f64 / per_router_capacity);
@@ -894,7 +944,7 @@ impl<P> Network<P> {
     /// so flow control stays live; corrupted head flits carry the mark to
     /// delivery. No-op if the link slot is empty, so calling it for every
     /// link (dense mode) or only occupied links (event mode) is identical.
-    fn deliver_link(&mut self, lid: usize, cycle: u64, cap: usize) {
+    fn deliver_link(&mut self, lid: usize, cycle: u64) {
         let Some(mut flit) = self.links[lid].slot.take() else { return };
         let action = match self.fault.as_mut() {
             Some(f) => f.on_link_flit(lid, cycle, &flit),
@@ -907,12 +957,10 @@ impl<P> Network<P> {
                 // The downstream buffer slot reserved for this flit is
                 // never filled: return the credit (and the VC on a
                 // tail) so the upstream router does not wedge.
-                let upstream = self
-                    .mesh
-                    .neighbor(NodeId::new(to), in_port)
-                    .expect("every link has an upstream router");
+                let upstream = self.upstream[to][in_port.index()];
+                debug_assert_ne!(upstream, NO_ROUTER, "every link has an upstream router");
                 self.pending_credits.push(CreditMsg {
-                    router: upstream.index(),
+                    router: upstream as usize,
                     port: in_port.opposite(),
                     vc: flit.vc(),
                     frees_vc: flit.kind().is_tail(),
@@ -923,22 +971,25 @@ impl<P> Network<P> {
                 }
                 if flit.kind().is_tail() {
                     self.lost_packets += 1;
-                    // A partially-delivered wormhole (flits that crossed
-                    // earlier links before the drop) may sit in the
-                    // reassembly map; it can never complete, so retire
-                    // it here rather than leak it.
-                    if let Some(partial) = self.reassembly.remove(&flit.packet_id) {
-                        if let Some(head) = partial.head {
-                            self.pool.release(head.payload);
-                        }
-                    }
+                    // The drop verdict is taken at the head and memoised
+                    // per (link, packet), so a dropped packet loses every
+                    // flit at this one link and none of it can have
+                    // reached its destination's reassembly.
+                    debug_assert!(
+                        !self.reassembly.iter().filter(|&&i| i != NO_PARTIAL).any(|&i| {
+                            self.partials[i as usize]
+                                .head
+                                .is_some_and(|h| h.packet_id == flit.packet_id)
+                        }),
+                        "a dropped packet is partly reassembled"
+                    );
                 }
             }
             FaultAction::DeliverCorrupted | FaultAction::Deliver => {
                 if action == FaultAction::DeliverCorrupted {
                     flit.mark_corrupted();
                 }
-                self.routers[to].accept_flit(&self.mesh, &self.cfg, in_port, flit, cycle, cap);
+                self.routers[to].accept_flit(&self.cfg, &self.coords, in_port, flit, cycle);
                 self.mark_router(to);
                 self.buffered_total += 1;
             }
@@ -955,18 +1006,18 @@ impl<P> Network<P> {
     fn inject_from_ni(&mut self, node: usize, cycle: u64) -> bool {
         let vnets = self.cfg.vnets as usize;
         let k = self.cfg.vcs_per_vnet as usize;
-        let cap = self.cfg.buffers_per_vc as usize;
         for _ in 0..self.cfg.ni_flits_per_cycle {
             let mut pushed = false;
+            let rr = self.nis[node].rr;
             for step in 0..vnets {
-                let v = (self.nis[node].rr + step) % vnets;
+                let v = if rr + step >= vnets { rr + step - vnets } else { rr + step };
                 let ni = &mut self.nis[node];
                 let Some(front) = ni.queues[v].front() else { continue };
                 let router = &self.routers[node];
                 let vc = match ni.streaming[v] {
                     Some(vc) => {
                         debug_assert!(!front.kind().is_head());
-                        if router.local_vc_accepts(vc as usize, false, cap) {
+                        if router.local_vc_accepts(vc as usize, false) {
                             Some(vc)
                         } else {
                             None
@@ -975,7 +1026,7 @@ impl<P> Network<P> {
                     None => {
                         debug_assert!(front.kind().is_head());
                         (v * k..(v + 1) * k)
-                            .find(|&vc| router.local_vc_accepts(vc, true, cap))
+                            .find(|&vc| router.local_vc_accepts(vc, true))
                             .map(|vc| vc as u8)
                     }
                 };
@@ -984,13 +1035,13 @@ impl<P> Network<P> {
                 let mut flit = ni.queues[v].pop_front().expect("front checked above");
                 flit.set_vc(vc);
                 ni.streaming[v] = if flit.kind().is_tail() { None } else { Some(vc) };
-                self.routers[node].accept_flit(&self.mesh, &self.cfg, Dir::Local, flit, cycle, cap);
+                self.routers[node].accept_flit(&self.cfg, &self.coords, Dir::Local, flit, cycle);
                 self.buffered_total += 1;
                 self.ni_backlogs[node] -= 1;
                 self.ni_backlog_total -= 1;
                 self.stats.injected_flits += 1;
                 self.mark_router(node);
-                self.nis[node].rr = (v + 1) % vnets;
+                self.nis[node].rr = wrap_next(v, vnets);
                 pushed = true;
                 break;
             }
@@ -1033,19 +1084,17 @@ impl<P> Network<P> {
         for dep in departures.drain(..) {
             self.buffered_total -= 1;
             if dep.in_port != Dir::Local {
-                let upstream = self
-                    .mesh
-                    .neighbor(NodeId::new(r), dep.in_port)
-                    .expect("flit arrived from a connected port");
+                let upstream = self.upstream[r][dep.in_port.index()];
+                debug_assert_ne!(upstream, NO_ROUTER, "flit arrived from a connected port");
                 self.pending_credits.push(CreditMsg {
-                    router: upstream.index(),
+                    router: upstream as usize,
                     port: dep.in_port.opposite(),
                     vc: dep.in_vc,
                     frees_vc: dep.was_tail,
                 });
             }
             if dep.out_port == Dir::Local {
-                self.eject(r, dep.flit, cycle);
+                self.eject(r, dep.in_port, dep.in_vc, dep.flit, cycle);
             } else {
                 let lid = self.link_of[r][dep.out_port.index()]
                     .expect("departure through a connected port");
@@ -1058,7 +1107,7 @@ impl<P> Network<P> {
                 });
                 self.tracer.count_link(cycle, r as u32, dep.out_port.index() as u8);
                 self.links[lid].slot = Some(dep.flit);
-                self.occupied_links.push(lid);
+                self.occupied_links.insert(lid);
                 self.stats.record_link_cycle(lid, true);
             }
         }
@@ -1066,20 +1115,22 @@ impl<P> Network<P> {
         self.routers[r].buffered_flits() > 0
     }
 
-    fn eject(&mut self, node: usize, flit: Flit, cycle: u64) {
-        let pid = flit.packet_id;
-        let is_tail = flit.kind().is_tail();
-        let entry = self
-            .reassembly
-            .entry(pid)
-            .or_insert(Partial { head: None, flits: 0, corrupted: false });
-        entry.flits += 1;
-        entry.corrupted |= flit.corrupted();
+    /// Ejection and reassembly of one flit leaving router `node` through
+    /// its Local output from input VC `(in_port, in_vc)`. That VC carries
+    /// one packet from head to tail, so it keys the packet's slab entry;
+    /// a single-flit packet never touches the slab.
+    fn eject(&mut self, node: usize, in_port: Dir, in_vc: u8, flit: Flit, cycle: u64) {
+        let key = (node * Dir::COUNT + in_port.index()) * self.cfg.vcs_per_port() + in_vc as usize;
+        let slot = self.reassembly[key];
+        let mut partial =
+            if slot == NO_PARTIAL { Partial::EMPTY } else { self.partials[slot as usize] };
+        partial.flits += 1;
+        partial.corrupted |= flit.corrupted();
         if flit.kind().is_head() {
-            match &entry.head {
+            match &partial.head {
                 Some(kept) => {
                     // Wormhole routing cannot legally deliver two heads
-                    // for one packet id; count the protocol violation and
+                    // for one packet; count the protocol violation and
                     // keep the first head rather than abort. A true
                     // duplicate shares the kept head's ref (one pool
                     // insert per packet); free only a genuinely distinct
@@ -1089,48 +1140,61 @@ impl<P> Network<P> {
                         self.pool.release(flit.payload);
                     }
                 }
-                None => entry.head = Some(flit),
+                None => partial.head = Some(flit),
             }
         }
-        if is_tail {
-            // Wormhole routing ejects a packet's flits in order, so the
-            // head is present by the time the tail arrives — unless a
-            // protocol fault lost it, which is counted rather than fatal.
-            let Some(partial) = self.reassembly.remove(&pid) else { return };
-            let Some(head) = partial.head else {
-                self.stats.protocol_errors.tail_without_head += 1;
-                self.lost_packets += 1;
-                return;
-            };
-            let Some(payload) = self.pool.take(head.payload) else {
-                self.stats.protocol_errors.missing_payload += 1;
-                self.lost_packets += 1;
-                return;
-            };
-            let packet = Packet {
-                id: head.packet_id,
-                src: head.src(),
-                dst: head.dst(),
-                vnet: head.vnet(),
-                class: head.class(),
-                queued_at: head.queued_at,
-                delivered_at: cycle,
-                hops: head.hops(),
-                corrupted: partial.corrupted || head.corrupted(),
-                payload,
-            };
-            self.tracer.record_with(cycle, || EventKind::PacketEject {
-                packet: packet.id,
-                node: node as u32,
-                latency: packet.latency(),
-                hops: packet.hops,
-                flits: partial.flits,
-                class: packet.class.code(),
-            });
-            self.stats.record_delivery(packet.class, partial.flits, packet.latency());
-            self.delivered_packets += 1;
-            self.ejected[node].push(packet);
+        if !flit.kind().is_tail() {
+            if slot != NO_PARTIAL {
+                self.partials[slot as usize] = partial;
+            } else if let Some(free) = self.free_partials.pop() {
+                self.partials[free as usize] = partial;
+                self.reassembly[key] = free;
+            } else {
+                self.reassembly[key] = self.partials.len() as u32;
+                self.partials.push(partial);
+            }
+            return;
         }
+        if slot != NO_PARTIAL {
+            self.free_partials.push(slot);
+            self.reassembly[key] = NO_PARTIAL;
+        }
+        // Wormhole routing ejects a packet's flits in order, so the head
+        // is present by the time the tail arrives — unless a protocol
+        // fault lost it, which is counted rather than fatal.
+        let Some(head) = partial.head else {
+            self.stats.protocol_errors.tail_without_head += 1;
+            self.lost_packets += 1;
+            return;
+        };
+        let Some(payload) = self.pool.take(head.payload) else {
+            self.stats.protocol_errors.missing_payload += 1;
+            self.lost_packets += 1;
+            return;
+        };
+        let packet = Packet {
+            id: head.packet_id,
+            src: head.src(),
+            dst: head.dst(),
+            vnet: head.vnet(),
+            class: head.class(),
+            queued_at: head.queued_at,
+            delivered_at: cycle,
+            hops: head.hops(),
+            corrupted: partial.corrupted || head.corrupted(),
+            payload,
+        };
+        self.tracer.record_with(cycle, || EventKind::PacketEject {
+            packet: packet.id,
+            node: node as u32,
+            latency: packet.latency(),
+            hops: packet.hops,
+            flits: partial.flits,
+            class: packet.class.code(),
+        });
+        self.stats.record_delivery(packet.class, partial.flits, packet.latency());
+        self.delivered_packets += 1;
+        self.ejected[node].push(packet);
     }
 
     /// Payloads currently pooled — equals the number of injected packets
@@ -1593,6 +1657,62 @@ mod tests {
         n.inject(comm(other, n.mesh().node_at(3, 2), 64, 99)).unwrap();
         n.run_until_drained(10_000).unwrap();
         assert_eq!(n.delivered_packets(), 1);
+    }
+
+    #[test]
+    fn drop_window_opening_mid_packet_loses_only_whole_packets() {
+        use snacknoc_trace::{ComponentClass, EventKind, TracerHandle};
+        // DAPPER's 16 B channels cut a 128 B packet into 8 flits.
+        let run = |plan: Option<FaultPlan>| {
+            let mut n = net(NocConfig::dapper());
+            n.set_tracer(TracerHandle::ring(1 << 14));
+            if let Some(p) = plan {
+                n.set_fault_plan(p).unwrap();
+            }
+            let (src, dst) = (n.mesh().node_at(0, 0), n.mesh().node_at(3, 0));
+            for i in 0..4 {
+                n.inject(comm(src, dst, 128, i)).unwrap();
+            }
+            n.run_until_drained(10_000).unwrap();
+            n
+        };
+        // When each packet's first and last flit leave node 0 eastward.
+        let mut dry = run(None);
+        let tracer = dry.take_tracer();
+        let mut crossing: Vec<(u64, u64)> = vec![(u64::MAX, 0); 4];
+        for e in tracer.as_ring().expect("ring tracer").events(ComponentClass::Router) {
+            if let EventKind::FlitHop { router: 0, out_port: 0, packet, .. } = e.kind {
+                let (first, last) = &mut crossing[packet as usize];
+                *first = (*first).min(e.cycle);
+                *last = (*last).max(e.cycle);
+            }
+        }
+        // A flit placed on the link at cycle `c` crosses it at `c + 1`:
+        // open the window after packet 1's head crossed, before its tail.
+        let (first, last) = crossing[1];
+        let start = first + 2;
+        assert!(last + 1 >= start, "packet 1 is mid-link when the window opens");
+        let src = dry.mesh().node_at(0, 0);
+        let plan = FaultPlan::seeded(5).with_targets(comm_targets()).with_link_fault(
+            src,
+            Dir::East,
+            start,
+            u64::MAX,
+            LinkFaultKind::Drop { rate: 1.0 },
+        );
+        let mut n = run(Some(plan));
+        let headed_before = crossing.iter().filter(|&&(f, _)| f + 1 < start).count() as u64;
+        assert!((2..4).contains(&headed_before), "both outcomes occur");
+        assert_eq!(n.delivered_packets(), headed_before, "a head past the window delivers whole");
+        assert_eq!(n.lost_packets(), n.fault_counters().dropped_packets);
+        assert_eq!(n.lost_packets(), 4 - headed_before);
+        assert_eq!(n.stuck_packets(), 0, "no partial packet left in reassembly");
+        assert_eq!(n.payload_pool_live(), 0, "every payload delivered or released");
+        assert_eq!(n.buffered_flits(), 0);
+        let dst = n.mesh().node_at(3, 0);
+        let delivered = n.drain_ejected(dst);
+        let intact = delivered.iter().any(|p| p.payload == 1 && !p.corrupted);
+        assert!(intact, "packet 1 arrived intact");
     }
 
     #[test]

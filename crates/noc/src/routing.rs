@@ -9,7 +9,7 @@ use std::fmt;
 /// connects to the node's network interface (and, in SnackNoC, its Router
 /// Compute Unit).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-#[repr(usize)]
+#[repr(u8)]
 pub enum Dir {
     /// Towards increasing `x` (column).
     East = 0,
@@ -92,10 +92,29 @@ pub enum RoutingAlgorithm {
 impl RoutingAlgorithm {
     /// The output port for a flit at `cur` destined for `dst`.
     pub fn route(self, mesh: &Mesh, cur: NodeId, dst: NodeId) -> Dir {
-        match self {
-            RoutingAlgorithm::Xy => xy_route(mesh, cur, dst),
-            RoutingAlgorithm::Yx => yx_route(mesh, cur, dst),
-        }
+        self.route_coords(mesh.coords(cur), mesh.coords(dst))
+    }
+
+    /// [`RoutingAlgorithm::route`] from the two endpoints' `(x, y)`
+    /// coordinates — the division-free form the router uses with the
+    /// network's coordinate table.
+    pub(crate) fn route_coords(self, (cx, cy): (usize, usize), (dx, dy): (usize, usize)) -> Dir {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let x = match dx.cmp(&cx) {
+            Greater => Some(Dir::East),
+            Less => Some(Dir::West),
+            Equal => None,
+        };
+        let y = match dy.cmp(&cy) {
+            Greater => Some(Dir::South),
+            Less => Some(Dir::North),
+            Equal => None,
+        };
+        let first = match self {
+            RoutingAlgorithm::Xy => x.or(y),
+            RoutingAlgorithm::Yx => y.or(x),
+        };
+        first.unwrap_or(Dir::Local)
     }
 }
 
@@ -107,36 +126,12 @@ impl RoutingAlgorithm {
 /// paper reuses the baseline algorithm for SnackNoC instruction flits "as to
 /// not increase route computation overhead" (§III-B).
 pub fn xy_route(mesh: &Mesh, cur: NodeId, dst: NodeId) -> Dir {
-    let (cx, cy) = mesh.coords(cur);
-    let (dx, dy) = mesh.coords(dst);
-    if dx > cx {
-        Dir::East
-    } else if dx < cx {
-        Dir::West
-    } else if dy > cy {
-        Dir::South
-    } else if dy < cy {
-        Dir::North
-    } else {
-        Dir::Local
-    }
+    RoutingAlgorithm::Xy.route_coords(mesh.coords(cur), mesh.coords(dst))
 }
 
 /// The YX dual of [`xy_route`]: rows first, then columns.
 pub fn yx_route(mesh: &Mesh, cur: NodeId, dst: NodeId) -> Dir {
-    let (cx, cy) = mesh.coords(cur);
-    let (dx, dy) = mesh.coords(dst);
-    if dy > cy {
-        Dir::South
-    } else if dy < cy {
-        Dir::North
-    } else if dx > cx {
-        Dir::East
-    } else if dx < cx {
-        Dir::West
-    } else {
-        Dir::Local
-    }
+    RoutingAlgorithm::Yx.route_coords(mesh.coords(cur), mesh.coords(dst))
 }
 
 /// The number of mesh hops an XY-routed packet takes from `src` to `dst`

@@ -87,6 +87,17 @@ impl Mesh {
         (i % self.cols(), i / self.cols())
     }
 
+    /// Every node's `(x, y)` coordinates, indexed by node — the
+    /// division-free lookup route computation uses.
+    pub(crate) fn coord_table(&self) -> Box<[(u16, u16)]> {
+        self.nodes()
+            .map(|n| {
+                let (x, y) = self.coords(n);
+                (x as u16, y as u16)
+            })
+            .collect()
+    }
+
     /// The neighbour of `node` in direction `dir`, if one exists.
     ///
     /// `Dir::Local` has no neighbour and always returns `None`.

@@ -64,6 +64,12 @@ cargo build --release --offline --workspace --examples --benches
 echo "+ cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+# The cross-commit benchmark is a workspace of its own (perfbench/), so
+# the builds above never compile it: build and test it against the
+# library as changed, or an API change could break it unseen.
+echo "+ cargo test --release --offline --manifest-path perfbench/Cargo.toml"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "+ cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
