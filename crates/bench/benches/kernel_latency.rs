@@ -13,9 +13,9 @@ use snacknoc_noc::{NocConfig, NodeId};
 use snacknoc_workloads::kernels::Kernel;
 
 /// A MAC-fusion inner product as one long single-block MAC chain on a
-/// bare RCU — every cycle asks "can the active block advance?", the
-/// exact question the RCU's active-block cursor cache answers without
-/// re-walking the `progress`/`pending` maps. `n` is the vector length.
+/// bare RCU — every cycle asks "can the active block advance?", which
+/// the RCU answers from the front slot of the block's instruction ring.
+/// `n` is the vector length.
 fn mac_fusion_rcu(n: u32) -> Rcu {
     let mut rcu = Rcu::new();
     for seq in 0..n {
@@ -41,8 +41,7 @@ fn main() {
     let mut h = Harness::from_env("kernel_latency");
     let mut jobs = Vec::new();
     // The RCU-only inner product (no network): measures the instruction
-    // scheduler itself, where the cursor cache removes the per-cycle
-    // HashMap + double-BTreeMap walk of `next_fireable`.
+    // scheduler itself, whose per-cycle question is answered in O(1).
     for n in [256u32, 4096] {
         jobs.push(TimedJob::batched(
             &format!("kernel_sim/mac_fusion_rcu/{n}"),

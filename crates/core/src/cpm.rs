@@ -365,6 +365,11 @@ pub struct Cpm {
     in_overflow: bool,
     /// Alternation flag between overflow replay and instruction issue.
     replay_turn: bool,
+    /// Emptied instruction-packet buffers handed back through
+    /// [`Cpm::recycle_packet`]; issue reuses them before allocating, so
+    /// the list never holds more buffers than packets were in flight at
+    /// once.
+    spare_packets: Vec<Vec<Instruction>>,
     /// Whether the resident kernel's operand assembly is an irregular
     /// gather (throttles the DRAM stream rate — SPMV, paper §V-B).
     irregular_fetch: bool,
@@ -417,6 +422,7 @@ impl Cpm {
             overflow: VecDeque::new(),
             in_overflow: false,
             replay_turn: false,
+            spare_packets: Vec::new(),
             irregular_fetch: false,
             row_open: false,
             recovery: RecoveryConfig::default(),
@@ -846,7 +852,11 @@ impl Cpm {
         // ids and output indices are stamped with this CPM's namespace so
         // kernels resident on different CPMs never collide on the wire.
         let first = self.instr_buffer.pop_front()?;
-        let mut packet = vec![self.stamp(first)];
+        let mut packet = self
+            .spare_packets
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(self.cfg.instrs_per_packet));
+        packet.push(self.stamp(first));
         while packet.len() < self.cfg.instrs_per_packet {
             match self.instr_buffer.front() {
                 Some(next) if next.pe == packet[0].pe => {
@@ -914,6 +924,14 @@ impl Cpm {
             }
         }
         wake
+    }
+
+    /// Hands back the buffer of a delivered (or discarded)
+    /// [`CpmEmission::Instructions`] packet so a later issue can reuse it
+    /// instead of allocating.
+    pub fn recycle_packet(&mut self, mut packet: Vec<Instruction>) {
+        packet.clear();
+        self.spare_packets.push(packet);
     }
 
     /// The namespace tag of this CPM.

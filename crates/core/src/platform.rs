@@ -12,7 +12,7 @@ use crate::token::{CompiledKernel, DataToken, Instruction, DATA_TOKEN_BYTES, INS
 use crate::rcu::{Emission, Rcu, RcuStats};
 use snacknoc_noc::{
     ConfigError, FaultCounters, FaultPlan, FaultPlanError, LinkFaultKind, Mesh, NetStats, Network,
-    NocConfig, NodeId, PacketSpec, StallReport, Stepping, TimeWheel, TrafficClass,
+    NocConfig, NodeId, Packet, PacketSpec, StallReport, Stepping, TimeWheel, TrafficClass,
 };
 use snacknoc_trace::{EventKind, TracerHandle};
 use snacknoc_workloads::coherence::{AccessPattern, CohMessage, CoherentEngine};
@@ -467,6 +467,10 @@ pub struct SnackPlatform {
     /// allocation for the whole platform instead of one `Vec` per RCU
     /// per cycle.
     emit_scratch: Vec<Emission>,
+    /// Reused buffer each node's delivered packets are drained into
+    /// ([`Network::drain_ejected_into`]), so delivery never takes the
+    /// network's per-node queues (and their capacity) away.
+    deliver_scratch: Vec<Packet<SnackPayload>>,
     /// The calendar queue of component wakes, rebuilt at each jump
     /// attempt (components are polled, not persistently subscribed — a
     /// poll is cheap and immune to stale-entry bugs).
@@ -552,6 +556,7 @@ impl SnackPlatform {
             rcu_scratch: Vec::with_capacity(n),
             rcu_flag: vec![false; n],
             emit_scratch: Vec::new(),
+            deliver_scratch: Vec::new(),
             wheel: TimeWheel::new(),
             pcfg: PlatformConfig::default(),
             net,
@@ -1165,11 +1170,17 @@ impl SnackPlatform {
         }
         // The network cycle.
         self.net.step();
-        // Deliveries.
+        // Deliveries, node by node in ascending order.
         let now = self.net.cycle();
+        let mut delivered = std::mem::take(&mut self.deliver_scratch);
         for i in 0..self.nodes.len() {
             let node = self.nodes[i];
-            for pkt in self.net.drain_ejected(node) {
+            self.net.drain_ejected_into(node, &mut delivered);
+            if delivered.is_empty() {
+                // Most nodes receive nothing in a given cycle.
+                continue;
+            }
+            for pkt in delivered.drain(..) {
                 let corrupted = pkt.corrupted;
                 match pkt.payload {
                     SnackPayload::Cmp(msg) => {
@@ -1190,13 +1201,16 @@ impl SnackPlatform {
                         // remap-and-retry). On a healthy platform every
                         // namespace matches its issuing CPM, so neither
                         // branch ever fires.
+                        // Either way the buffer goes back to the issuing
+                        // CPM for reuse.
                         let ns = instrs[0].sub_block >> NAMESPACE_SHIFT;
-                        let stale =
-                            self.cpms[ns as usize % self.cpms.len()].namespace() != ns;
+                        let home = ns as usize % self.cpms.len();
+                        let stale = self.cpms[home].namespace() != ns;
                         if stale || (dead_active && self.node_dead(node, now)) {
+                            self.cpms[home].recycle_packet(instrs);
                             continue;
                         }
-                        for ins in instrs {
+                        for &ins in &instrs {
                             debug_assert_eq!(ins.pe, node, "instruction routed to its PE");
                             self.net.tracer_mut().record_with(now, || EventKind::RcuIssue {
                                 node: i as u32,
@@ -1211,6 +1225,7 @@ impl SnackPlatform {
                                 self.rcu_active.push(i);
                             }
                         }
+                        self.cpms[home].recycle_packet(instrs);
                     }
                     SnackPayload::Data(token) => {
                         // Quarantine first: tokens from an aborted
@@ -1255,6 +1270,7 @@ impl SnackPlatform {
                 }
             }
         }
+        self.deliver_scratch = delivered;
     }
 
     /// Ticks RCU `i` through the reused emission scratch buffer and

@@ -11,9 +11,9 @@
 //! its final instruction retires (paper §III-D1).
 
 use crate::fixed::Fixed;
-use crate::token::{DataToken, DepId, Instruction, Op, Operand, ResultDest, SubBlockId};
+use crate::token::{DataToken, DepId, IdMap, Instruction, Op, Operand, ResultDest, SubBlockId};
 use snacknoc_trace::{EventKind, FireDest, TracerHandle, NO_DEP};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::VecDeque;
 
 /// Stable small-integer encoding of an [`Op`] for structured trace events.
 fn op_code(op: Op) -> u8 {
@@ -24,6 +24,17 @@ fn op_code(op: Op) -> u8 {
         Op::Mac => 3,
         Op::Acc => 4,
     }
+}
+
+/// One sub-block's slice of the ordered instruction buffer: a ring whose
+/// slot `k` holds sequence number `next + k` (`None` until it arrives).
+/// The front slot is the only one the firing rule ever looks at.
+#[derive(Clone, Debug)]
+struct Block {
+    id: SubBlockId,
+    /// Next sequence number to execute.
+    next: u32,
+    ring: VecDeque<Option<Instruction>>,
 }
 
 /// Something an RCU wants to put on the network after an execution.
@@ -55,29 +66,22 @@ pub struct RcuStats {
 /// One Router Compute Unit.
 #[derive(Clone, Debug)]
 pub struct Rcu {
-    /// Pending instructions: per sub-block, ordered by sequence number.
-    pending: BTreeMap<SubBlockId, BTreeMap<u32, Instruction>>,
-    /// Next sequence number to execute per sub-block.
-    progress: HashMap<SubBlockId, u32>,
+    /// The ordered instruction buffer: one [`Block`] per sub-block with
+    /// queued or partly executed work, sorted by id. A block leaves when
+    /// its terminating instruction fires (or its namespace is aborted).
+    blocks: Vec<Block>,
+    /// Rings of retired blocks, kept (cleared) for the next block.
+    spare_rings: Vec<VecDeque<Option<Instruction>>>,
+    /// Instructions waiting in `blocks` (the `Some` slots of all rings).
+    pending: usize,
     /// Captured dependency values with their remaining local use count.
-    dep_buffer: HashMap<DepId, (Fixed, u32)>,
+    dep_buffer: IdMap<(Fixed, u32)>,
     /// Operand references awaiting capture from the ring.
-    wanted: HashMap<DepId, u32>,
+    wanted: IdMap<u32>,
     /// The accumulator register.
     acc: Fixed,
     /// The sub-block currently owning the accumulator.
     active_block: Option<SubBlockId>,
-    /// Cursor cache for the active block: the sequence number it wants
-    /// next (mirror of `progress[active_block]`) and a copy of that
-    /// instruction if it has already arrived. Lets [`Rcu::next_fireable`]
-    /// answer the common every-cycle question — "can the active block
-    /// advance?" — without re-walking `progress` (HashMap) and `pending`
-    /// (two BTreeMap levels) per lane per cycle. Meaningful only while
-    /// `active_block.is_some()`.
-    active_seq: u32,
-    /// Copy of `pending[active_block][active_seq]`, `None` if that
-    /// instruction has not arrived yet (or no block is active).
-    cursor: Option<Instruction>,
     /// ALU busy until this cycle.
     busy_until: u64,
     /// Emissions produced by the in-flight instruction group, released
@@ -87,7 +91,7 @@ pub struct Rcu {
     /// CPM watchdog re-issues from when a ring token is lost to a fault
     /// (see [`Rcu::retransmit`]). Cleared per CPM namespace when that
     /// CPM's kernel retires its results.
-    produced: HashMap<DepId, DataToken>,
+    produced: IdMap<DataToken>,
     /// Instructions fired per cycle. 1 models the paper's scalar RCU;
     /// larger widths model the *vectorized RCUs* of §VII (a MAC tree
     /// retiring several chain steps per cycle).
@@ -117,17 +121,16 @@ impl Rcu {
     pub fn with_lanes(lanes: usize) -> Self {
         assert!(lanes > 0, "an RCU needs at least one lane");
         Rcu {
-            pending: BTreeMap::new(),
-            progress: HashMap::new(),
-            dep_buffer: HashMap::new(),
-            wanted: HashMap::new(),
+            blocks: Vec::new(),
+            spare_rings: Vec::new(),
+            pending: 0,
+            dep_buffer: IdMap::default(),
+            wanted: IdMap::default(),
             acc: Fixed::ZERO,
             active_block: None,
-            active_seq: 0,
-            cursor: None,
             busy_until: 0,
             staged: Vec::new(),
-            produced: HashMap::new(),
+            produced: IdMap::default(),
             lanes,
             stats: RcuStats::default(),
         }
@@ -135,12 +138,12 @@ impl Rcu {
 
     /// Number of instructions waiting in the ordered instruction buffer.
     pub fn pending_instructions(&self) -> usize {
-        self.pending.values().map(|b| b.len()).sum()
+        self.pending
     }
 
     /// Whether the RCU has nothing queued, staged, or in flight.
     pub fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.staged.is_empty()
+        self.pending == 0 && self.staged.is_empty()
     }
 
     /// The next cycle at which ticking this RCU is *not* a provable no-op,
@@ -164,17 +167,30 @@ impl Rcu {
     /// Enqueues an arriving instruction token into the ordered buffer and
     /// registers its dependency wants.
     pub fn accept_instruction(&mut self, ins: Instruction) {
+        let at = match self.blocks.binary_search_by_key(&ins.sub_block, |b| b.id) {
+            Ok(at) => at,
+            Err(at) => {
+                let ring = self.spare_rings.pop().unwrap_or_default();
+                self.blocks.insert(at, Block { id: ins.sub_block, next: 0, ring });
+                at
+            }
+        };
+        let block = &mut self.blocks[at];
+        // A valid program never re-sends an executed sequence number; one
+        // that does could never fire, so it is not queued.
+        debug_assert!(ins.seq >= block.next, "instruction arrived after its slot retired");
+        let Some(k) = ins.seq.checked_sub(block.next) else { return };
+        let k = k as usize;
+        while block.ring.len() <= k {
+            block.ring.push_back(None);
+        }
+        if block.ring[k].replace(ins).is_none() {
+            self.pending += 1;
+        }
         for operand in [ins.vl, ins.vr] {
             if let Some(d) = operand.dep() {
                 *self.wanted.entry(d).or_insert(0) += 1;
             }
-        }
-        self.pending.entry(ins.sub_block).or_default().insert(ins.seq, ins);
-        self.progress.entry(ins.sub_block).or_insert(0);
-        // Wake edge for the cursor cache: the active block may have been
-        // waiting exactly for this instruction.
-        if self.active_block == Some(ins.sub_block) && ins.seq == self.active_seq {
-            self.cursor = Some(ins);
         }
     }
 
@@ -231,8 +247,15 @@ impl Rcu {
     /// CPMs) is untouched.
     pub fn abort_namespace(&mut self, namespace: u32) {
         let foreign = |id: u32| id >> crate::cpm::NAMESPACE_SHIFT != namespace;
-        self.pending.retain(|&sb, _| foreign(sb));
-        self.progress.retain(|&sb, _| foreign(sb));
+        let mut i = 0;
+        while i < self.blocks.len() {
+            if foreign(self.blocks[i].id) {
+                i += 1;
+            } else {
+                let block = self.blocks.remove(i);
+                self.retire_ring(block.ring);
+            }
+        }
         self.wanted.retain(|&d, _| foreign(d));
         self.dep_buffer.retain(|&d, _| foreign(d));
         self.produced.retain(|&d, _| foreign(d));
@@ -240,7 +263,6 @@ impl Rcu {
             // Releasing the accumulator is safe: the next block to claim
             // it resets `acc` before executing (see `execute`).
             self.active_block = None;
-            self.cursor = None;
         }
         self.staged.retain(|e| match e {
             Emission::Token(t) => foreign(t.dep),
@@ -285,15 +307,8 @@ impl Rcu {
         out.append(&mut self.staged);
         let mut group_latency = 0;
         for _ in 0..self.lanes {
-            let Some((block, seq)) = self.next_fireable() else { break };
-            let ins = self
-                .pending
-                .get_mut(&block)
-                .and_then(|b| b.remove(&seq))
-                .expect("fireable instruction exists");
-            if self.pending.get(&block).is_some_and(|b| b.is_empty()) {
-                self.pending.remove(&block);
-            }
+            let Some(at) = self.next_fireable() else { break };
+            let ins = self.pop_front(at);
             group_latency = group_latency.max(ins.op.latency());
             tracer.record_with(cycle, || EventKind::RcuFire {
                 node,
@@ -315,42 +330,49 @@ impl Rcu {
         }
         if group_latency > 0 {
             self.busy_until = cycle + group_latency;
-        } else if !self.pending.is_empty() {
+        } else if self.pending > 0 {
             self.stats.stalled_cycles += 1;
         }
     }
 
-    /// Finds the next instruction the firing rule allows.
-    fn next_fireable(&self) -> Option<(SubBlockId, u32)> {
-        if let Some(b) = self.active_block {
+    /// Finds the block whose front instruction the firing rule allows
+    /// next, as an index into `blocks`.
+    fn next_fireable(&self) -> Option<usize> {
+        let ready =
+            |b: &Block| matches!(b.ring.front(), Some(Some(ins)) if self.operands_ready(ins));
+        if let Some(id) = self.active_block {
             // The active sub-block owns the accumulator: only its next
-            // instruction may fire. The cursor cache answers this without
-            // touching `progress`/`pending` — the debug assertions below
-            // pin it to the maps it mirrors.
-            debug_assert_eq!(
-                self.active_seq,
-                *self.progress.get(&b).expect("active block tracked"),
-                "cursor seq diverged from progress map"
-            );
-            debug_assert_eq!(
-                self.cursor,
-                self.pending.get(&b).and_then(|blk| blk.get(&self.active_seq)).copied(),
-                "cursor instruction diverged from pending buffer"
-            );
-            let ins = self.cursor.as_ref()?;
-            return self.operands_ready(ins).then_some((b, self.active_seq));
+            // instruction may fire.
+            let at =
+                self.blocks.binary_search_by_key(&id, |b| b.id).expect("active block tracked");
+            return ready(&self.blocks[at]).then_some(at);
         }
         // Otherwise any sub-block may start; take the lowest-numbered ready
         // one for determinism.
-        for (&b, block) in &self.pending {
-            let seq = *self.progress.get(&b).expect("progress tracked per block");
-            if let Some(ins) = block.get(&seq) {
-                if self.operands_ready(ins) {
-                    return Some((b, seq));
-                }
-            }
+        self.blocks.iter().position(ready)
+    }
+
+    /// Removes and returns the (present) front instruction of
+    /// `blocks[at]`, advancing the block to its next sequence number. A
+    /// terminating instruction retires the whole block.
+    fn pop_front(&mut self, at: usize) -> Instruction {
+        let block = &mut self.blocks[at];
+        let ins = block.ring.pop_front().flatten().expect("fireable instruction exists");
+        block.next += 1;
+        self.pending -= 1;
+        if ins.ends_block {
+            let block = self.blocks.remove(at);
+            self.retire_ring(block.ring);
         }
-        None
+        ins
+    }
+
+    /// Returns a retired block's ring to the spare list, dropping (and
+    /// uncounting) any instructions still queued in it.
+    fn retire_ring(&mut self, mut ring: VecDeque<Option<Instruction>>) {
+        self.pending -= ring.iter().filter(|slot| slot.is_some()).count();
+        ring.clear();
+        self.spare_rings.push(ring);
     }
 
     fn operands_ready(&self, ins: &Instruction) -> bool {
@@ -398,18 +420,6 @@ impl Rcu {
         };
         if ins.ends_block {
             self.active_block = None;
-            self.cursor = None;
-            self.progress.remove(&ins.sub_block);
-        } else {
-            *self.progress.get_mut(&ins.sub_block).expect("tracked") += 1;
-            // Refresh the cursor cache: the block now wants `seq + 1`,
-            // which may already be waiting in the ordered buffer.
-            self.active_seq = ins.seq + 1;
-            self.cursor = self
-                .pending
-                .get(&ins.sub_block)
-                .and_then(|blk| blk.get(&self.active_seq))
-                .copied();
         }
         match ins.dest {
             ResultDest::Accumulate => {}
@@ -730,5 +740,125 @@ mod tests {
         rcu.accept_instruction(ins(Op::Acc, imm(10.0), imm(0.0), ResultDest::Accumulate, 0, 0, false));
         let (_, e) = drain(&mut rcu, 6, 20).unwrap();
         assert_eq!(e, Emission::Output { index: 0, value: Fixed::from_f64(11.0) });
+    }
+
+    /// Ticks until the RCU is idle, collecting every emission in order.
+    fn drain_all(rcu: &mut Rcu, from: u64, limit: u64) -> Vec<Emission> {
+        let mut out = Vec::new();
+        for c in from..from + limit {
+            out.extend(rcu.tick(c));
+            if rcu.is_idle() {
+                break;
+            }
+        }
+        out
+    }
+
+    fn output_indices(emissions: &[Emission]) -> Vec<u32> {
+        emissions
+            .iter()
+            .map(|e| match e {
+                Emission::Output { index, .. } => *index,
+                Emission::Token(t) => panic!("unexpected token {t:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn ring_fires_out_of_order_arrivals_in_seq_order() {
+        let mut rcu = Rcu::new();
+        let step = |seq: u32| {
+            ins(Op::Add, imm(1.0), imm(0.0), ResultDest::Output { index: seq }, 0, seq, seq == 2)
+        };
+        rcu.accept_instruction(step(2));
+        rcu.accept_instruction(step(0));
+        assert_eq!(rcu.pending_instructions(), 2);
+        // seq 0 fires; seq 1 is a hole, so the block waits with seq 2 queued.
+        let early = drain(&mut rcu, 1, 10).map(|(_, e)| e);
+        assert_eq!(early, Some(Emission::Output { index: 0, value: Fixed::ONE }));
+        assert_eq!(drain(&mut rcu, 11, 5), None, "seq 2 must wait for seq 1");
+        assert_eq!(rcu.pending_instructions(), 1);
+        assert!(!rcu.is_idle());
+        rcu.accept_instruction(step(1));
+        let rest = drain_all(&mut rcu, 16, 20);
+        assert_eq!(output_indices(&rest), vec![1, 2]);
+        assert!(rcu.is_idle());
+        assert_eq!(rcu.pending_instructions(), 0);
+        assert_eq!(rcu.stats.executed, 3);
+    }
+
+    #[test]
+    fn a_block_missing_its_next_seq_does_not_block_a_ready_one() {
+        let mut rcu = Rcu::new();
+        // Block 0 has only seq 1 (seq 0 not yet arrived); blocks 1 and 2
+        // are ready. The lowest-numbered *ready* block, 1, fires first.
+        rcu.accept_instruction(ins(Op::Add, imm(1.0), imm(0.0), ResultDest::Output { index: 0 }, 0, 1, true));
+        rcu.accept_instruction(ins(Op::Add, imm(2.0), imm(0.0), ResultDest::Output { index: 2 }, 2, 0, true));
+        rcu.accept_instruction(ins(Op::Add, imm(1.0), imm(0.0), ResultDest::Output { index: 1 }, 1, 0, true));
+        let out = drain_all(&mut rcu, 1, 10);
+        assert_eq!(output_indices(&out), vec![1, 2]);
+        assert_eq!(rcu.pending_instructions(), 1, "block 0 still waits for seq 0");
+        rcu.accept_instruction(ins(Op::Acc, imm(5.0), imm(0.0), ResultDest::Accumulate, 0, 0, false));
+        let out = drain_all(&mut rcu, 11, 10);
+        assert_eq!(out, vec![Emission::Output { index: 0, value: Fixed::from_f64(1.0) }]);
+        assert!(rcu.is_idle());
+    }
+
+    #[test]
+    fn aborting_a_namespace_mid_block_keeps_counts_exact() {
+        let ns1 = 1u32 << crate::cpm::NAMESPACE_SHIFT;
+        let mut rcu = Rcu::new();
+        // Namespace 1's block: seq 0 fires (claiming the accumulator),
+        // seq 1 is missing, seq 2 and 3 are queued behind the hole.
+        for seq in [0, 2, 3] {
+            let dest = if seq == 3 { ResultDest::Output { index: ns1 } } else { ResultDest::Accumulate };
+            rcu.accept_instruction(ins(Op::Acc, imm(1.0), imm(0.0), dest, ns1, seq, seq == 3));
+        }
+        assert_eq!(rcu.pending_instructions(), 3);
+        rcu.tick(1);
+        assert_eq!(rcu.pending_instructions(), 2, "ns1 seq 0 fired");
+        // Namespace 0's block arrives behind the active one.
+        rcu.accept_instruction(ins(Op::Add, imm(3.0), imm(4.0), ResultDest::Output { index: 0 }, 0, 0, true));
+        assert_eq!(rcu.pending_instructions(), 3);
+        assert_eq!(drain(&mut rcu, 2, 5), None, "ns1 owns the accumulator and waits on seq 1");
+        rcu.abort_namespace(1);
+        assert_eq!(rcu.pending_instructions(), 1, "only namespace 0's instruction is left");
+        assert!(!rcu.is_idle());
+        let out = drain_all(&mut rcu, 7, 10);
+        assert_eq!(out, vec![Emission::Output { index: 0, value: Fixed::from_f64(7.0) }]);
+        assert!(rcu.is_idle());
+        assert_eq!(rcu.pending_instructions(), 0);
+        // A late straggler of the aborted block opens a fresh block, which
+        // is counted like any other.
+        rcu.accept_instruction(ins(Op::Acc, imm(1.0), imm(0.0), ResultDest::Accumulate, ns1, 1, false));
+        assert_eq!(rcu.pending_instructions(), 1);
+        rcu.abort_namespace(1);
+        assert_eq!(rcu.pending_instructions(), 0);
+        assert!(rcu.is_idle());
+    }
+
+    #[test]
+    fn a_drained_ring_is_reused_without_growing() {
+        let mut rcu = Rcu::new();
+        let block = |rcu: &mut Rcu, id: SubBlockId| {
+            // Delivered in reverse so the whole block queues at once.
+            for seq in (0..8u32).rev() {
+                let dest = if seq == 7 { ResultDest::Output { index: id } } else { ResultDest::Accumulate };
+                rcu.accept_instruction(ins(Op::Acc, imm(1.0), imm(0.0), dest, id, seq, seq == 7));
+            }
+        };
+        block(&mut rcu, 0);
+        let capacity = rcu.blocks[0].ring.capacity();
+        assert!(capacity >= 8);
+        drain_all(&mut rcu, 1, 40);
+        assert!(rcu.blocks.is_empty(), "a finished block leaves the buffer");
+        assert_eq!(rcu.spare_rings.len(), 1, "its ring is kept");
+        block(&mut rcu, 1);
+        assert!(rcu.spare_rings.is_empty(), "the next block took the spare ring");
+        assert_eq!(rcu.blocks[0].ring.capacity(), capacity, "and did not grow it");
+        let out = drain_all(&mut rcu, 41, 40);
+        assert_eq!(out, vec![Emission::Output { index: 1, value: Fixed::from_f64(8.0) }]);
+        assert_eq!(rcu.spare_rings.len(), 1);
+        assert_eq!(rcu.spare_rings[0].capacity(), capacity);
     }
 }

@@ -14,6 +14,7 @@ use crate::fixed::Fixed;
 use snacknoc_noc::NodeId;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A dependency identifier (`S` in the paper's data-token tuple).
 pub type DepId = u32;
@@ -21,6 +22,38 @@ pub type DepId = u32;
 /// Identifier of a sub-block: an intra-dependent instruction set that owns
 /// the RCU accumulator while it executes (paper §III-D1).
 pub type SubBlockId = u32;
+
+/// Multiplicative hasher for the crate's `u32`-keyed tables (dependency
+/// and sub-block ids): one multiply per lookup instead of SipHash. Keys
+/// are the compiler's dense ids, never attacker-chosen, so collision
+/// resistance buys nothing. No table keyed this way is ever walked in
+/// hash order except by `retain`, which drops entries without ordering
+/// anything, so hash order cannot reach a result.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `u32`-id-keyed table hashed with [`IdHasher`].
+pub(crate) type IdMap<V> = HashMap<u32, V, BuildHasherDefault<IdHasher>>;
 
 /// An RCU scalar operation (`O` in the instruction tuple).
 ///
@@ -305,15 +338,29 @@ impl CompiledKernel {
     ///
     /// # Errors
     ///
-    /// Returns the first violation found.
+    /// Returns the first violation found, deterministically: the checks
+    /// run in the order listed below, and each reports its earliest
+    /// offender in program order.
+    ///
+    /// 1. A duplicate producer or a sub-block spanning PEs, at the
+    ///    instruction where it first shows.
+    /// 2. A missing producer or a dependent-count mismatch, walking the
+    ///    instructions (operands before the produced token).
+    /// 3. Output gaps and duplicates, by output index.
+    /// 4. A malformed sub-block, in order of the blocks' first
+    ///    instruction.
     pub fn validate(&self) -> Result<(), ProgramError> {
         if self.instructions.is_empty() {
             return Err(ProgramError::EmptyProgram);
         }
-        let mut produced: HashMap<DepId, u32> = HashMap::new();
-        let mut referenced: HashMap<DepId, u32> = HashMap::new();
+        let mut produced: IdMap<u32> = IdMap::default();
+        let mut referenced: IdMap<u32> = IdMap::default();
         let mut outputs: Vec<u32> = Vec::new();
-        let mut blocks: HashMap<SubBlockId, (Vec<u32>, bool, NodeId)> = HashMap::new();
+        // Sub-blocks in order of first appearance, as (id, has_end, pe),
+        // and each instruction's (block index, seq).
+        let mut blocks: Vec<(SubBlockId, bool, NodeId)> = Vec::new();
+        let mut block_at: IdMap<usize> = IdMap::default();
+        let mut seqs: Vec<(usize, u32)> = Vec::with_capacity(self.instructions.len());
         for ins in &self.instructions {
             for operand in [ins.vl, ins.vr] {
                 if let Some(d) = operand.dep() {
@@ -329,27 +376,30 @@ impl CompiledKernel {
                 ResultDest::Output { index } => outputs.push(index),
                 ResultDest::Accumulate => {}
             }
-            let entry =
-                blocks.entry(ins.sub_block).or_insert_with(|| (Vec::new(), false, ins.pe));
-            entry.0.push(ins.seq);
+            let at = *block_at.entry(ins.sub_block).or_insert_with(|| {
+                blocks.push((ins.sub_block, false, ins.pe));
+                blocks.len() - 1
+            });
+            seqs.push((at, ins.seq));
+            let entry = &mut blocks[at];
             entry.1 |= ins.ends_block;
             if entry.2 != ins.pe {
                 return Err(ProgramError::SubBlockSpansPes(ins.sub_block));
             }
         }
-        for (&dep, &refs) in &referenced {
-            match produced.get(&dep) {
-                None => return Err(ProgramError::MissingProducer(dep)),
-                Some(&declared) if declared != refs => {
-                    return Err(ProgramError::DependentMismatch { dep, declared, referenced: refs })
+        for ins in &self.instructions {
+            for operand in [ins.vl, ins.vr] {
+                if let Some(dep) = operand.dep() {
+                    if !produced.contains_key(&dep) {
+                        return Err(ProgramError::MissingProducer(dep));
+                    }
                 }
-                _ => {}
             }
-        }
-        for (&dep, &declared) in &produced {
-            let refs = referenced.get(&dep).copied().unwrap_or(0);
-            if declared != refs {
-                return Err(ProgramError::DependentMismatch { dep, declared, referenced: refs });
+            if let ResultDest::Token { dep, dependents: declared } = ins.dest {
+                let refs = referenced.get(&dep).copied().unwrap_or(0);
+                if declared != refs {
+                    return Err(ProgramError::DependentMismatch { dep, declared, referenced: refs });
+                }
             }
         }
         outputs.sort_unstable();
@@ -364,12 +414,14 @@ impl CompiledKernel {
         if outputs.len() != self.num_outputs {
             return Err(ProgramError::OutputGap(outputs.len() as u32));
         }
-        for (&b, (seqs, has_end, _)) in &blocks {
-            let mut s = seqs.clone();
-            s.sort_unstable();
-            let contiguous = s.iter().enumerate().all(|(i, &v)| v as usize == i);
+        // Sorted, the runs of equal block index are the blocks in order
+        // of first appearance, each with its seqs ascending.
+        seqs.sort_unstable();
+        for run in seqs.chunk_by(|a, b| a.0 == b.0) {
+            let (id, has_end, _) = blocks[run[0].0];
+            let contiguous = run.iter().enumerate().all(|(i, &(_, seq))| seq as usize == i);
             if !contiguous || !has_end {
-                return Err(ProgramError::BadSubBlock(b));
+                return Err(ProgramError::BadSubBlock(id));
             }
         }
         Ok(())
@@ -458,6 +510,41 @@ mod tests {
         let mut p = two_pe_program();
         p.instructions.remove(0);
         assert_eq!(p.validate(), Err(ProgramError::MissingProducer(0)));
+    }
+
+    #[test]
+    fn first_violation_is_reported_in_program_order_every_time() {
+        // Four consumers of four missing producers (deps 40, 30, 20, 10 in
+        // program order), two of them in malformed sub-blocks: the error
+        // must name dep 40 on every call, however the validator's lookup
+        // tables happen to be seeded.
+        let mut p = two_pe_program();
+        p.instructions.remove(0);
+        p.instructions[0].vl = Operand::Dep(40);
+        for (k, dep) in [30, 20, 10].into_iter().enumerate() {
+            let mut consumer = p.instructions[0];
+            consumer.vl = Operand::Dep(dep);
+            consumer.sub_block = 10 + k as u32;
+            consumer.dest = ResultDest::Output { index: 1 + k as u32 };
+            p.instructions.push(consumer);
+        }
+        p.instructions[2].seq = 4;
+        p.instructions[3].seq = 4;
+        p.num_outputs = 4;
+        for _ in 0..50 {
+            assert_eq!(p.validate(), Err(ProgramError::MissingProducer(40)));
+        }
+        // With the producers fixed, the first malformed block is reported.
+        let mut q = p.clone();
+        for dep in [40, 30, 20, 10] {
+            let mut producer = two_pe_program().instructions[0];
+            producer.dest = ResultDest::Token { dep, dependents: 1 };
+            producer.sub_block = 100 + dep;
+            q.instructions.push(producer);
+        }
+        for _ in 0..50 {
+            assert_eq!(q.validate(), Err(ProgramError::BadSubBlock(11)));
+        }
     }
 
     #[test]

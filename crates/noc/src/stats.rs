@@ -129,6 +129,16 @@ pub struct OccupancyCdf {
     saturated: u64,
 }
 
+/// `y.round() as usize` for `0.0 <= y <= 100.0`, without `f64::round`,
+/// which on x86-64 targets lacking SSE4.1 is a libm call paid once per
+/// occupied router per cycle. Exact: in that range `y - trunc(y)` is
+/// computed without rounding error, so comparing it with one half
+/// reproduces round-half-away-from-zero bit for bit.
+fn round_percent(y: f64) -> usize {
+    let t = y as usize;
+    t + usize::from(y - t as f64 >= 0.5)
+}
+
 impl Default for OccupancyCdf {
     fn default() -> Self {
         OccupancyCdf { buckets: [0; 101], total: 0, dropped: 0, saturated: 0 }
@@ -151,7 +161,7 @@ impl OccupancyCdf {
             self.dropped += 1;
             return;
         }
-        let pct = (fraction.clamp(0.0, 1.0) * 100.0).round() as usize;
+        let pct = round_percent(fraction.clamp(0.0, 1.0) * 100.0);
         self.buckets[pct.min(100)] += 1;
         self.total += 1;
     }
@@ -544,6 +554,26 @@ impl NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percent_rounding_matches_f64_round() {
+        let reference = |y: f64| y.round() as usize;
+        for c in 1..=1024u32 {
+            for k in 0..=c {
+                let y = f64::from(k) / f64::from(c) * 100.0;
+                assert_eq!(round_percent(y), reference(y), "{k}/{c}");
+            }
+        }
+        for y in [0.0, 0.5, 49.5, 99.5, 100.0, 0.5 - f64::EPSILON, 99.5 - 1e-12] {
+            assert_eq!(round_percent(y), reference(y), "{y}");
+        }
+        snacknoc_prng::prop_check!(cases = 64, seed = 0x5EED_0CC0, |rng| {
+            for _ in 0..1_000 {
+                let y = rng.unit_f64() * 100.0;
+                assert_eq!(round_percent(y), reference(y), "{y}");
+            }
+        });
+    }
 
     #[test]
     fn window_series_rolls() {

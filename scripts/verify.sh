@@ -64,6 +64,12 @@ cargo build --release --offline --workspace --examples --benches
 echo "+ cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+# The allocation-free claims (tests/alloc.rs) are about the optimized
+# build that perfbench measures: check them there too, not only in the
+# debug build above.
+echo "+ cargo test --release --offline --test alloc"
+cargo test --release --offline --test alloc
+
 # The cross-commit benchmark is a workspace of its own (perfbench/), so
 # the builds above never compile it: build and test it against the
 # library as changed, or an API change could break it unseen.

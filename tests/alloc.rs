@@ -1,7 +1,9 @@
 //! Counting-allocator proof that the activity-driven hot loop is
 //! **allocation-free in steady state**: once scratch buffers and queue
 //! capacities are warm, 1 000 consecutive `Network::step` cycles with
-//! traffic in flight (and no tracer) perform zero heap allocations.
+//! traffic in flight (and no tracer) perform zero heap allocations, and
+//! so do 1 000 consecutive `SnackPlatform::step` cycles in the middle of
+//! a running kernel (RCU buffers, CPM issue, ring tokens and delivery).
 //!
 //! The whole file is one integration-test crate so the `#[global_allocator]`
 //! hook owns the process: every heap allocation anywhere in the test binary
@@ -12,6 +14,9 @@
 //! the harness may run tests on parallel threads, and another test's
 //! warm-up allocations must not land inside a measured region.
 
+use snacknoc::compiler::{build, sim_size, MapperConfig};
+use snacknoc::core::{CompiledKernel, SnackPlatform};
+use snacknoc::workloads::kernels::Kernel;
 use snacknoc_noc::{Network, NocConfig, NodeId, PacketSpec, TrafficClass};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -205,4 +210,68 @@ fn saturated_steady_state_allocates_nothing() {
          ({} allocations in 1k cycles)",
         allocs_after - allocs_before
     );
+}
+
+/// Compiles `kernel` at its simulated size for `platform`'s mesh.
+fn compile_for(platform: &SnackPlatform, kernel: Kernel) -> CompiledKernel {
+    let mapper = MapperConfig::for_mesh(platform.mesh());
+    let built = build(kernel, sim_size(kernel), 7);
+    built.context.compile(built.root, &mapper).expect("paper kernels compile")
+}
+
+/// The compute-layer counterpart: once a platform has run every paper
+/// kernel once (RCU instruction rings, dependency tables, the CPM's spare
+/// packet buffers and the delivery scratch all warm), 1 000 consecutive
+/// `SnackPlatform::step` cycles in the middle of a Reduction and of an
+/// SGEMM perform zero heap allocations. Allocations at submission
+/// (program validation and the command-buffer copy) are outside the
+/// measured window.
+#[test]
+fn steady_state_kernel_step_allocates_nothing() {
+    let _guard = MEASURE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    const CAP: u64 = 5_000_000;
+    // Steps taken after submission before measuring: past the first
+    // command-buffer fetch, into the issue/execute/ring steady state.
+    const LEAD_IN: usize = 200;
+    const MEASURED: usize = 1_000;
+    let mut platform = SnackPlatform::new(NocConfig::default()).expect("default platform");
+    let kernels: Vec<(Kernel, CompiledKernel)> =
+        Kernel::ALL.into_iter().map(|k| (k, compile_for(&platform, k))).collect();
+    for (k, compiled) in &kernels {
+        platform.run_kernel(compiled, CAP).unwrap_or_else(|e| panic!("{k} warm-up run: {e}"));
+    }
+    for target in [Kernel::Reduction, Kernel::Sgemm] {
+        let (_, compiled) = kernels.iter().find(|(k, _)| *k == target).expect("compiled");
+        platform.submit_kernel(compiled).expect("idle CPM accepts the kernel");
+        for _ in 0..LEAD_IN {
+            platform.step();
+        }
+        let executed_before = platform.rcu_stats().executed;
+        let allocs_before = ALLOC_CALLS.load(Ordering::SeqCst);
+        for _ in 0..MEASURED {
+            platform.step();
+        }
+        let allocs_after = ALLOC_CALLS.load(Ordering::SeqCst);
+        assert!(
+            platform.rcu_stats().executed > executed_before,
+            "{target}: the measured window must execute instructions"
+        );
+        assert!(
+            platform.take_kernel_results().is_none(),
+            "{target}: the measured window must lie inside the kernel"
+        );
+        assert_eq!(
+            allocs_after - allocs_before,
+            0,
+            "{target}: steady-state SnackPlatform::step must be allocation-free \
+             ({} allocations in {MEASURED} cycles)",
+            allocs_after - allocs_before
+        );
+        let mut steps = 0u64;
+        while platform.take_kernel_results().is_none() {
+            platform.step();
+            steps += 1;
+            assert!(steps < CAP, "{target} finishes");
+        }
+    }
 }
